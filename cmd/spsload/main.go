@@ -1,5 +1,5 @@
 // Command spsload load-tests a running spsd daemon: K concurrent
-// clients submit a mix of quick jobs across the four kinds, poll them
+// clients submit a mix of quick jobs across the job kinds, poll them
 // to completion, and report submit-to-complete latency percentiles.
 //
 // Examples:
@@ -20,17 +20,21 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pbrouter/internal/arch"
 	"pbrouter/internal/cli"
 	"pbrouter/internal/fleet"
 	"pbrouter/internal/resilience"
 	"pbrouter/internal/serve"
 	"pbrouter/internal/sim"
+	"pbrouter/internal/splitpolicy"
 	"pbrouter/internal/stats"
+	"pbrouter/internal/workload"
 )
 
 func main() {
@@ -147,12 +151,11 @@ func printFleetReport(base string) error {
 func parseKinds(s string) ([]serve.Kind, error) {
 	var mix []serve.Kind
 	for _, part := range strings.Split(s, ",") {
-		switch k := serve.Kind(strings.TrimSpace(part)); k {
-		case serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience:
-			mix = append(mix, k)
-		default:
+		k := serve.Kind(strings.TrimSpace(part))
+		if !slices.Contains(serve.Kinds(), k) {
 			return nil, fmt.Errorf("-kinds: unknown job kind %q", part)
 		}
+		mix = append(mix, k)
 	}
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("-kinds: need at least one job kind")
@@ -175,6 +178,17 @@ func quickSpec(kind serve.Kind, seed uint64) serve.Spec {
 	case serve.KindValidate:
 		return serve.Spec{Kind: kind, Validate: &serve.ValidateSpec{
 			Seed: seed, Cases: 3, HorizonUs: 2,
+		}}
+	case serve.KindSplit:
+		return serve.Spec{Kind: kind, Split: &splitpolicy.SweepConfig{
+			Policies:  []string{splitpolicy.PolicyStatic, splitpolicy.PolicyP2C},
+			Workloads: []string{splitpolicy.WorkloadElephants},
+			HorizonPs: 8 * sim.Microsecond, Seed: seed,
+		}}
+	case serve.KindArch:
+		return serve.Spec{Kind: kind, Arch: &arch.SweepConfig{
+			Archs: []string{arch.ArchOQ, arch.ArchCQ}, Workloads: []string{workload.KindUniform},
+			N: 4, HorizonPs: 4 * sim.Microsecond, Seed: seed,
 		}}
 	default:
 		return serve.Spec{Kind: serve.KindResilience, Resilience: &resilience.SweepConfig{

@@ -24,6 +24,9 @@ func TestParseKinds(t *testing.T) {
 			t.Errorf("mix[%d] = %s, want %s", i, mix[i], want[i])
 		}
 	}
+	if _, err := parseKinds("split,arch"); err != nil {
+		t.Errorf("parseKinds rejects a declared kind: %v", err)
+	}
 	for _, bad := range []string{"", "simulate", "sim,,sweep"} {
 		if _, err := parseKinds(bad); err == nil {
 			t.Errorf("parseKinds(%q) accepted", bad)
@@ -34,7 +37,7 @@ func TestParseKinds(t *testing.T) {
 // TestQuickSpecsAreValid pins that every kind the load generator can
 // emit passes the daemon's own admission checks.
 func TestQuickSpecsAreValid(t *testing.T) {
-	for _, k := range []serve.Kind{serve.KindSim, serve.KindSweep, serve.KindValidate, serve.KindResilience} {
+	for _, k := range serve.Kinds() {
 		spec := quickSpec(k, 42)
 		if spec.Kind != k {
 			t.Errorf("quickSpec(%s) built kind %s", k, spec.Kind)

@@ -133,10 +133,10 @@ func capacityFraction(st State, channels int) float64 {
 	return frac / float64(len(st.Alive))
 }
 
-// scaleFlows returns the flows with every dimmed fiber's flows scaled
+// ScaleFlows returns the flows with every dimmed fiber's flows scaled
 // to the surviving fraction. With no dimming the input is returned
 // unchanged.
-func scaleFlows(flows []sps.Flow, dimmed []FiberDim) []sps.Flow {
+func ScaleFlows(flows []sps.Flow, dimmed []FiberDim) []sps.Flow {
 	if len(dimmed) == 0 {
 		return flows
 	}
@@ -152,6 +152,63 @@ func scaleFlows(flows []sps.Flow, dimmed []FiberDim) []sps.Flow {
 		}
 	}
 	return out
+}
+
+// SwitchSim holds what every (epoch, live switch) simulation of an
+// epoch-by-epoch campaign shares; Run is the per-switch job body of
+// both this engine and the splitter-policy engine.
+type SwitchSim struct {
+	Switch   hbmswitch.Config // healthy per-switch configuration
+	Kind     traffic.ArrivalKind
+	Sizes    traffic.SizeDist
+	Seed     uint64
+	Validate bool
+}
+
+// SwitchResult is the outcome of one (epoch, live switch) simulation.
+type SwitchResult struct {
+	Report *hbmswitch.Report
+	// Violations are the epoch's invariant violations (Validate only),
+	// prefixed with the switch index.
+	Violations []validate.Violation
+}
+
+// Run simulates live switch sw for epoch e (duration dur, health state
+// st) on matrix m. The switch runs degraded by st, with the OQ shadow
+// on when validating a healthy switch. Its traffic seed keys on
+// e*H + sw only (H = len(st.Alive)), so a switch's run never depends
+// on which other switches died.
+func (s SwitchSim) Run(st State, e, sw int, m *traffic.Matrix, dur sim.Time) (SwitchResult, error) {
+	cfg := s.Switch
+	cfg.Degraded = hbmswitch.Degraded{
+		DeadGroups:   st.DeadGroups[sw],
+		DeadChannels: st.DeadChannels[sw],
+	}
+	cfg.Shadow = s.Validate && st.SwitchHealthy(sw)
+	sps.ClampRows(m)
+	swm, err := hbmswitch.New(cfg)
+	if err != nil {
+		return SwitchResult{}, fmt.Errorf("epoch %d switch %d: %w", e, sw, err)
+	}
+	var obs *validate.Observer
+	if s.Validate {
+		obs = validate.NewObserver(cfg, dur)
+		swm.SetProbe(obs.Probe())
+	}
+	seed := parallel.Seed(s.Seed, e*len(st.Alive)+sw)
+	srcs := traffic.UniformSources(m, cfg.PortRate, s.Kind, s.Sizes, sim.NewRNG(seed))
+	rep, err := swm.Run(traffic.NewMux(srcs), dur)
+	if err != nil {
+		return SwitchResult{}, fmt.Errorf("epoch %d switch %d: %w", e, sw, err)
+	}
+	res := SwitchResult{Report: rep}
+	if obs != nil {
+		for _, v := range obs.CheckEpoch(rep, m.Admissible(1e-6)) {
+			v.Detail = fmt.Sprintf("switch %d: %s", sw, v.Detail)
+			res.Violations = append(res.Violations, v)
+		}
+	}
+	return res, nil
 }
 
 // Run executes the campaign: it slices the horizon into constant-health
@@ -180,15 +237,11 @@ func (c *Campaign) Run() (*Report, error) {
 	h := c.SPS.H
 
 	// Lay out every (epoch, alive switch) simulation job up front, in
-	// deterministic order. Job seeds key on epoch*H + switch, so a
-	// switch's seed does not depend on which other switches died.
-	type job struct {
-		epoch, sw int
-		cfg       hbmswitch.Config
-		m         *traffic.Matrix
-	}
+	// deterministic order.
+	type job struct{ epoch, sw int }
 	var jobs []job
 	states := make([]State, len(eps))
+	mats := make([][]*traffic.Matrix, len(eps))
 	offered := make([]float64, len(eps)) // Gb/s per epoch
 	fiberGbps := float64(c.SPS.FiberRate()) / 1e9
 	for e, ep := range eps {
@@ -198,57 +251,22 @@ func (c *Campaign) Run() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("resilience: epoch %d degrade: %w", e, err)
 		}
-		epFlows := scaleFlows(flows, st.Dimmed)
+		epFlows := ScaleFlows(flows, st.Dimmed)
 		for _, f := range epFlows {
 			offered[e] += f.Rate * fiberGbps
 		}
-		mats := degDep.SwitchMatrices(epFlows)
+		mats[e] = degDep.SwitchMatrices(epFlows)
 		for sw := 0; sw < h; sw++ {
-			if !st.Alive[sw] {
-				continue
+			if st.Alive[sw] {
+				jobs = append(jobs, job{epoch: e, sw: sw})
 			}
-			cfg := c.Switch
-			cfg.Degraded = hbmswitch.Degraded{
-				DeadGroups:   st.DeadGroups[sw],
-				DeadChannels: st.DeadChannels[sw],
-			}
-			cfg.Shadow = c.Validate && st.SwitchHealthy(sw)
-			jobs = append(jobs, job{epoch: e, sw: sw, cfg: cfg, m: mats[sw]})
 		}
 	}
 
-	type jobResult struct {
-		rep        *hbmswitch.Report
-		violations []validate.Violation
-	}
-	workers := parallel.Workers(c.Workers)
-	results, err := parallel.MapCtx(c.ctx(), workers, len(jobs), func(i int) (jobResult, error) {
+	ss := SwitchSim{Switch: c.Switch, Kind: c.Kind, Sizes: c.Sizes, Seed: c.Seed, Validate: c.Validate}
+	results, err := parallel.MapCtx(c.ctx(), parallel.Workers(c.Workers), len(jobs), func(i int) (SwitchResult, error) {
 		j := jobs[i]
-		sps.ClampRows(j.m)
-		dur := eps[j.epoch].Duration()
-		sw, err := hbmswitch.New(j.cfg)
-		if err != nil {
-			return jobResult{}, fmt.Errorf("epoch %d switch %d: %w", j.epoch, j.sw, err)
-		}
-		var obs *validate.Observer
-		if c.Validate {
-			obs = validate.NewObserver(j.cfg, dur)
-			sw.SetProbe(obs.Probe())
-		}
-		seed := parallel.Seed(c.Seed, j.epoch*h+j.sw)
-		srcs := traffic.UniformSources(j.m, j.cfg.PortRate, c.Kind, c.Sizes, sim.NewRNG(seed))
-		rep, err := sw.Run(traffic.NewMux(srcs), dur)
-		if err != nil {
-			return jobResult{}, fmt.Errorf("epoch %d switch %d: %w", j.epoch, j.sw, err)
-		}
-		res := jobResult{rep: rep}
-		if obs != nil {
-			for _, v := range obs.CheckEpoch(rep, j.m.Admissible(1e-6)) {
-				v.Detail = fmt.Sprintf("switch %d: %s", j.sw, v.Detail)
-				res.violations = append(res.violations, v)
-			}
-		}
-		return res, nil
+		return ss.Run(states[j.epoch], j.epoch, j.sw, mats[j.epoch][j.sw], eps[j.epoch].Duration())
 	})
 	if err != nil {
 		return nil, err
@@ -269,8 +287,8 @@ func (c *Campaign) Run() (*Report, error) {
 	}
 	for i, j := range jobs {
 		er := &rep.Epochs[j.epoch]
-		er.GoodputGbps += results[i].rep.Throughput * portGbps
-		er.Violations = append(er.Violations, results[i].violations...)
+		er.GoodputGbps += results[i].Report.Throughput * portGbps
+		er.Violations = append(er.Violations, results[i].Violations...)
 	}
 	var availSum, durSum float64
 	for e := range rep.Epochs {
@@ -330,8 +348,8 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		sw, ch, gr, fb := ep.State.Counts()
 		fmt.Fprintf(&b, "%d,%d,%d,%s,%s,%s,%s,%d,%d,%d,%d,%d\n",
 			e, int64(ep.Start), int64(ep.End),
-			formatFloat(ep.CapacityFraction), formatFloat(ep.OfferedGbps),
-			formatFloat(ep.GoodputGbps), formatFloat(ep.Availability),
+			FormatFloat(ep.CapacityFraction), FormatFloat(ep.OfferedGbps),
+			FormatFloat(ep.GoodputGbps), FormatFloat(ep.Availability),
 			sw, ch, gr, fb, len(ep.Violations))
 	}
 	_, err := io.WriteString(w, b.String())
@@ -343,7 +361,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 func (r *Report) WriteJSON(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString(`{"schema":"pbrouter-resilience/1","availability":`)
-	b.WriteString(formatFloat(r.Availability))
+	b.WriteString(FormatFloat(r.Availability))
 	b.WriteString(`,"epochs":[`)
 	for e, ep := range r.Epochs {
 		if e > 0 {
@@ -352,8 +370,8 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		sw, ch, gr, fb := ep.State.Counts()
 		fmt.Fprintf(&b, `{"start_ps":%d,"end_ps":%d,"capacity_fraction":%s,"offered_gbps":%s,"goodput_gbps":%s,"availability":%s,"failed_switches":%d,"dead_channels":%d,"dead_groups":%d,"dimmed_fibers":%d,"violations":[`,
 			int64(ep.Start), int64(ep.End),
-			formatFloat(ep.CapacityFraction), formatFloat(ep.OfferedGbps),
-			formatFloat(ep.GoodputGbps), formatFloat(ep.Availability),
+			FormatFloat(ep.CapacityFraction), FormatFloat(ep.OfferedGbps),
+			FormatFloat(ep.GoodputGbps), FormatFloat(ep.Availability),
 			sw, ch, gr, fb)
 		for i, v := range ep.Violations {
 			if i > 0 {
@@ -369,9 +387,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// formatFloat renders a float compactly and deterministically (the
-// telemetry convention: integers without a decimal point).
-func formatFloat(v float64) string {
+// FormatFloat renders a float compactly and deterministically (the
+// telemetry convention: integers without a decimal point); the
+// campaign report writers here and in splitpolicy share it.
+func FormatFloat(v float64) string {
 	if v == float64(int64(v)) {
 		return strconv.FormatInt(int64(v), 10)
 	}

@@ -19,8 +19,7 @@ func TestDashboardKnowsEveryKind(t *testing.T) {
 	index := mustAsset(t, assets, "index.html")
 	composer := mustAsset(t, assets, "composer.js")
 
-	kinds := []Kind{KindSim, KindSweep, KindValidate, KindResilience, KindSplit, KindArch}
-	for _, k := range kinds {
+	for _, k := range Kinds() {
 		opt := "<option>" + string(k) + "</option>"
 		if n := strings.Count(index, opt); n < 2 {
 			t.Errorf("kind %q appears %d times as %s in index.html; want it in both the job filter and the composer", k, n, opt)

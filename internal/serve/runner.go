@@ -7,12 +7,11 @@ import (
 	"fmt"
 	"log/slog"
 
-	"pbrouter/internal/arch"
 	"pbrouter/internal/hbmswitch"
-	"pbrouter/internal/resilience"
+	"pbrouter/internal/parallel"
 	"pbrouter/internal/sim"
-	"pbrouter/internal/splitpolicy"
 	"pbrouter/internal/telemetry"
+	"pbrouter/internal/validate"
 	"pbrouter/router"
 )
 
@@ -33,7 +32,7 @@ type FoundError struct {
 
 func (e *FoundError) Error() string { return fmt.Sprintf("%d %s", e.N, e.What) }
 
-// runEnv is what a job runner gets from the worker: previously
+// runEnv is what a job run gets from the worker: previously
 // checkpointed units to replay, a sink for newly completed units, a
 // stream to publish events to, sinks for in-memory run artifacts
 // (telemetry series per sweep point, the packet-lifecycle trace), the
@@ -51,32 +50,41 @@ type runEnv struct {
 
 // runSpec executes the job and returns its result JSON — byte-
 // identical to the equivalent CLI run at the same seed, including
-// when the returned error is a *FoundError.
+// when the returned error is a *FoundError. It replays the
+// checkpointed units in env, runs each missing unit through runUnit
+// (the code the fleet's /units handler calls), checkpoints it unless
+// the kind is atomic, and assembles the result with AssembleUnits.
 func runSpec(ctx context.Context, spec Spec, env runEnv) ([]byte, error) {
-	switch spec.Kind {
-	case KindSim:
-		return runSim(ctx, spec.Sim, env)
-	case KindSweep:
-		return runSweep(ctx, spec.Sweep, env)
-	case KindValidate:
-		return runValidate(ctx, spec.Validate, env)
-	case KindResilience:
-		return runResilience(ctx, spec.Resilience, env)
-	case KindSplit:
-		return runSplit(ctx, spec.Split, env)
-	case KindArch:
-		return runArch(ctx, spec.Arch, env)
-	default:
-		return nil, fmt.Errorf("serve: unknown job kind %q", spec.Kind)
+	d, err := kindOf(spec.Kind)
+	if err != nil {
+		return nil, err
 	}
+	n := spec.UnitCount()
+	have := min(len(env.units), n)
+	units := env.units[:have:have]
+	for u := have; u < n; u++ {
+		raw, err := runUnit(ctx, spec, u, env)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, raw)
+		if d.units != nil && env.saveUnit != nil { // atomic kinds store no units
+			env.saveUnit(raw)
+		}
+		if d.done != nil {
+			env.emit(d.done(spec, env.id, u))
+		}
+	}
+	return AssembleUnits(spec, units)
 }
 
 // runSim runs one packet-level switch simulation. The job is atomic
 // (one unit): cancellation is honored before the run starts, and the
 // report serializes through hbmswitch.Report.WriteJSON — the same
 // writer behind spssim -json. A telemetry registry is attached purely
-// to stream samples; instrumentation does not change results (the
-// switch's own tests pin that invariant).
+// to stream samples, and the tracer only when env keeps the trace;
+// instrumentation does not change results (the switch's own tests
+// pin that invariant).
 func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -87,7 +95,7 @@ func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
 		return nil, err
 	}
 	var tracer *telemetry.Tracer
-	if spec.TraceSample > 0 {
+	if spec.TraceSample > 0 && env.saveTrace != nil {
 		if tracer, err = telemetry.NewTracer(spec.TraceSample); err != nil {
 			return nil, err
 		}
@@ -123,7 +131,7 @@ func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
 	if reg != nil && env.saveSeries != nil {
 		env.saveSeries(0, reg.Series())
 	}
-	if tracer != nil && env.saveTrace != nil {
+	if tracer != nil {
 		var tbuf bytes.Buffer
 		if err := tracer.WriteJSON(&tbuf); err == nil {
 			env.saveTrace(tbuf.Bytes())
@@ -133,10 +141,22 @@ func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	if len(rep.Errors) > 0 {
-		return buf.Bytes(), &FoundError{N: len(rep.Errors), What: "invariant violations"}
-	}
 	return buf.Bytes(), nil
+}
+
+// assembleSim returns the sim unit — the report JSON — as the result,
+// recovering the invariant-violation verdict from its errors list.
+func assembleSim(_ Spec, units []json.RawMessage) ([]byte, error) {
+	var rep struct {
+		Errors []string `json:"errors"`
+	}
+	if err := json.Unmarshal(units[0], &rep); err != nil {
+		return nil, fmt.Errorf("serve: assemble sim: corrupt unit payload: %w", err)
+	}
+	if len(rep.Errors) > 0 {
+		return units[0], &FoundError{N: len(rep.Errors), What: "invariant violations"}
+	}
+	return units[0], nil
 }
 
 // runSweep runs one registered experiment — the same entry point as
@@ -163,143 +183,39 @@ func runSweep(ctx context.Context, spec *SweepSpec, env runEnv) ([]byte, error) 
 	return buf.Bytes(), nil
 }
 
-// runValidate runs a validation sweep in chunks of validateChunk
-// cases, checkpointing each completed chunk. A resumed job replays
-// checkpointed chunks and continues from the first missing case;
-// because cases are self-contained, the assembled result is byte-
-// identical to an uninterrupted spsvalidate run.
-func runValidate(ctx context.Context, spec *ValidateSpec, env runEnv) ([]byte, error) {
-	opts := spec.Options(env.workers)
-	outcomes, err := decodeValidateUnits(env.units)
-	if err != nil {
-		return nil, err
-	}
-	if len(outcomes) > opts.Cases {
-		outcomes = outcomes[:opts.Cases]
-	}
-	for u := len(outcomes) / validateChunk; len(outcomes) < opts.Cases; u++ {
-		chunk, err := runValidateUnit(ctx, opts, u)
-		if err != nil {
-			return nil, err
-		}
-		outcomes = append(outcomes, chunk...)
-		if raw, err := json.Marshal(chunk); err == nil && env.saveUnit != nil {
-			env.saveUnit(raw)
-		}
-		env.emit(progressEvent{Job: env.id, Event: "progress", Done: len(outcomes), Total: opts.Cases})
-	}
-	return assembleValidate(opts, outcomes)
+// validateRange returns the case range [lo, hi) of validate unit u.
+func validateRange(cases, u int) (lo, hi int) {
+	lo = u * validateChunk
+	return lo, min(lo+validateChunk, cases)
 }
 
-// runResilience runs an availability sweep point by point — the same
-// points in the same order as spsresil — checkpointing each completed
-// point and streaming its per-epoch series. The assembled table
-// serializes through telemetry.Series.WriteJSON, the writer behind
-// spsresil -json.
-func runResilience(ctx context.Context, cfg *resilience.SweepConfig, env runEnv) ([]byte, error) {
-	c := *cfg
-	c.Workers = env.workers
-	pts, err := decodeResilienceUnits(env.units)
+// runValidateUnit runs validate unit u — validateChunk consecutive
+// self-contained cases — and returns the outcomes in index order.
+func runValidateUnit(ctx context.Context, s Spec, u int, env runEnv) (json.RawMessage, error) {
+	opts := s.Validate.Options(env.workers)
+	lo, hi := validateRange(opts.Cases, u)
+	chunk, err := parallel.MapCtx(ctx, parallel.Workers(opts.Workers), hi-lo,
+		func(i int) (validate.CaseOutcome, error) {
+			return validate.RunCase(opts, lo+i), nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	if len(pts) > c.NumPoints() {
-		pts = pts[:c.NumPoints()]
-	}
-	for k := len(pts); k < c.NumPoints(); k++ {
-		pt, rep, err := c.RunPoint(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-		if k == 0 {
-			env.emit(probesEvent{Job: env.id, Event: "probes", Names: rep.Series.Names})
-		}
-		for i, t := range rep.Series.Times {
-			env.emit(sampleEvent{Job: env.id, Event: "sample", Point: k, TimePs: t, Values: rep.Series.Rows[i]})
-		}
-		if env.saveSeries != nil {
-			env.saveSeries(k, rep.Series)
-		}
-		if raw, err := json.Marshal(pt); err == nil && env.saveUnit != nil {
-			env.saveUnit(raw)
-		}
-		env.emit(unitEvent{Job: env.id, Event: "unit", Unit: k + 1, Of: c.NumPoints()})
-	}
-	return assembleResilience(c, pts)
+	return json.Marshal(chunk)
 }
 
-// runSplit runs a splitter-policy sweep point by point — the same grid
-// in the same order as spssplit — checkpointing each completed point
-// and streaming its per-epoch split.policy.* series. The assembled
-// table serializes through telemetry.Series.WriteJSON, the writer
-// behind spssplit -json.
-func runSplit(ctx context.Context, cfg *splitpolicy.SweepConfig, env runEnv) ([]byte, error) {
-	c := *cfg
-	c.Workers = env.workers
-	pts, err := decodeSplitUnits(env.units)
+// assembleValidate serializes the sweep result from the complete
+// outcome list, mirroring spsvalidate's exit semantics: failing cases
+// make the job fail with the full result attached.
+func assembleValidate(s Spec, units []json.RawMessage) ([]byte, error) {
+	chunks, err := decodeUnits[[]validate.CaseOutcome](KindValidate, units)
 	if err != nil {
 		return nil, err
 	}
-	if len(pts) > c.NumPoints() {
-		pts = pts[:c.NumPoints()]
+	var outcomes []validate.CaseOutcome
+	for _, c := range chunks {
+		outcomes = append(outcomes, c...)
 	}
-	for k := len(pts); k < c.NumPoints(); k++ {
-		pt, rep, err := c.RunPoint(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-		if k == 0 {
-			env.emit(probesEvent{Job: env.id, Event: "probes", Names: rep.Series.Names})
-		}
-		for i, t := range rep.Series.Times {
-			env.emit(sampleEvent{Job: env.id, Event: "sample", Point: k, TimePs: t, Values: rep.Series.Rows[i]})
-		}
-		if env.saveSeries != nil {
-			env.saveSeries(k, rep.Series)
-		}
-		if raw, err := json.Marshal(pt); err == nil && env.saveUnit != nil {
-			env.saveUnit(raw)
-		}
-		env.emit(unitEvent{Job: env.id, Event: "unit", Unit: k + 1, Of: c.NumPoints()})
-	}
-	return assembleSplit(c, pts)
-}
-
-// runArch runs a cross-architecture arena grid cell by cell — the same
-// cells in the same order as spsarch — checkpointing each completed
-// cell and streaming its arch.* series. The assembled table serializes
-// through telemetry.Series.WriteJSON, the writer behind spsarch -json.
-func runArch(ctx context.Context, cfg *arch.SweepConfig, env runEnv) ([]byte, error) {
-	c := *cfg
-	c.Workers = env.workers
-	pts, err := decodeArchUnits(env.units)
-	if err != nil {
-		return nil, err
-	}
-	if len(pts) > c.NumPoints() {
-		pts = pts[:c.NumPoints()]
-	}
-	for k := len(pts); k < c.NumPoints(); k++ {
-		pt, rep, err := c.RunPoint(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-		if k == 0 {
-			env.emit(probesEvent{Job: env.id, Event: "probes", Names: rep.Series.Names})
-		}
-		for i, t := range rep.Series.Times {
-			env.emit(sampleEvent{Job: env.id, Event: "sample", Point: k, TimePs: t, Values: rep.Series.Rows[i]})
-		}
-		if env.saveSeries != nil {
-			env.saveSeries(k, rep.Series)
-		}
-		if raw, err := json.Marshal(pt); err == nil && env.saveUnit != nil {
-			env.saveUnit(raw)
-		}
-		env.emit(unitEvent{Job: env.id, Event: "unit", Unit: k + 1, Of: c.NumPoints()})
-	}
-	return assembleArch(c, pts)
+	res := validate.Assemble(s.Validate.Options(0), outcomes)
+	return writeResult(res.WriteJSON, res.Failures, "failing cases")
 }

@@ -59,88 +59,10 @@ type Spec struct {
 	Arch       *arch.SweepConfig        `json:"arch,omitempty"`
 }
 
-// Normalize fills the active sub-spec (creating it if absent) with its
-// CLI defaults. Inactive sub-specs are left alone and ignored.
-func (s *Spec) Normalize() {
-	switch s.Kind {
-	case KindSim:
-		if s.Sim == nil {
-			s.Sim = &SimSpec{}
-		}
-		s.Sim.Normalize()
-	case KindSweep:
-		if s.Sweep == nil {
-			s.Sweep = &SweepSpec{}
-		}
-		s.Sweep.Normalize()
-	case KindValidate:
-		if s.Validate == nil {
-			s.Validate = &ValidateSpec{}
-		}
-		s.Validate.Normalize()
-	case KindResilience:
-		if s.Resilience == nil {
-			s.Resilience = &resilience.SweepConfig{}
-		}
-		s.Resilience.Normalize()
-	case KindSplit:
-		if s.Split == nil {
-			s.Split = &splitpolicy.SweepConfig{}
-		}
-		s.Split.Normalize()
-	case KindArch:
-		if s.Arch == nil {
-			s.Arch = &arch.SweepConfig{}
-		}
-		s.Arch.Normalize()
-	}
-}
-
-// Check validates the spec after Normalize.
-func (s Spec) Check() error {
-	switch s.Kind {
-	case KindSim:
-		return s.Sim.Check()
-	case KindSweep:
-		return s.Sweep.Check()
-	case KindValidate:
-		return s.Validate.Check()
-	case KindResilience:
-		return s.Resilience.Check()
-	case KindSplit:
-		return s.Split.Check()
-	case KindArch:
-		return s.Arch.Check()
-	default:
-		return fmt.Errorf("serve: unknown job kind %q (%s|%s|%s|%s|%s|%s)",
-			s.Kind, KindSim, KindSweep, KindValidate, KindResilience, KindSplit, KindArch)
-	}
-}
-
-// UnitCount returns how many checkpoint units the job runs: resumable
-// kinds report their unit count (validate: 16-case chunks, resilience:
-// sweep points), atomic kinds one. Units are the granularity both of
-// the daemon's mid-job checkpoints and of the fleet coordinator's
-// dispatch (see RunUnit).
-func (s Spec) UnitCount() int {
-	switch s.Kind {
-	case KindValidate:
-		return (s.Validate.Cases + validateChunk - 1) / validateChunk
-	case KindResilience:
-		return s.Resilience.NumPoints()
-	case KindSplit:
-		return s.Split.NumPoints()
-	case KindArch:
-		return s.Arch.NumPoints()
-	default:
-		return 1
-	}
-}
-
 // SimSpec parameterizes a "sim" job exactly like cmd/spssim's flags;
 // Normalize applies the same defaults the flag set declares.
 type SimSpec struct {
-	Load      float64  `json:"load,omitempty"`       // offered load per input in [0,1]
+	Load      float64  `json:"load,omitempty"`       // offered load per input in (0,1]
 	Matrix    string   `json:"matrix,omitempty"`     // uniform|diagonal|hotspot|incast|failover
 	Sizes     string   `json:"sizes,omitempty"`      // imix|64|1500|uniform
 	Arrival   string   `json:"arrival,omitempty"`    // poisson|bursty
@@ -202,6 +124,9 @@ func (s *SimSpec) Normalize() {
 
 // Check validates the spec (after Normalize).
 func (s *SimSpec) Check() error {
+	if s.Load <= 0 || s.Load > 1 {
+		return fmt.Errorf("sim: load must be in (0,1], got %g", s.Load)
+	}
 	if s.HorizonPs <= 0 {
 		return fmt.Errorf("sim: horizon_ps must be positive, got %d", s.HorizonPs)
 	}

@@ -187,6 +187,41 @@ func TestUnitsEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnitsEndpointShortUnitsBackToBack runs many short units back
+// to back over /units with a heartbeat period close to a unit's run
+// time, so heartbeats race the end of each unit. Under -race, a
+// heartbeat written after the handler returned is a data race on the
+// ResponseWriter.
+func TestUnitsEndpointShortUnitsBackToBack(t *testing.T) {
+	defer func(d time.Duration) { unitHeartbeat = d }(unitHeartbeat)
+	unitHeartbeat = 20 * time.Microsecond
+	srv, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Drain(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	hc := &http.Client{}
+
+	spec := Spec{Kind: KindSim, Sim: &SimSpec{Load: 0.2, HorizonPs: sim.Microsecond / 4}}
+	spec.Normalize()
+	want, err := RunUnit(context.Background(), spec, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		got, err := FetchUnit(context.Background(), hc, ts.URL, spec, 0, 10*time.Second)
+		if err != nil {
+			t.Fatalf("unit run %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("unit run %d: payload differs from a local run", i)
+		}
+	}
+}
+
 // TestUnitsEndpointRejects pins the endpoint's validation errors.
 func TestUnitsEndpointRejects(t *testing.T) {
 	srv, err := New(Config{Workers: 1})

@@ -74,8 +74,9 @@ func ParseUnitEvent(line []byte) (UnitEvent, error) {
 }
 
 // unitHeartbeat is how often a running unit stream emits a heartbeat
-// line. Wall-clock only — heartbeats never touch results.
-const unitHeartbeat = 250 * time.Millisecond
+// line. Wall-clock only — heartbeats never touch results. A variable
+// so tests can make heartbeats race the end of short units.
+var unitHeartbeat = 250 * time.Millisecond
 
 // handleUnits runs one unit synchronously and streams its lifecycle.
 // Concurrency is bounded by the same worker count as the job pool;
@@ -128,15 +129,18 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 	}
 	emit(UnitEvent{Event: UnitEventStart, Unit: req.Unit})
 
-	hbDone := make(chan struct{})
+	// The heartbeat goroutine must have exited before the handler
+	// returns: the ResponseWriter is invalid afterwards.
+	hbStop, hbExited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(hbExited)
 		t := time.NewTicker(unitHeartbeat)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
 				emit(UnitEvent{Event: UnitEventHeartbeat})
-			case <-hbDone:
+			case <-hbStop:
 				return
 			}
 		}
@@ -144,7 +148,8 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	payload, err := RunUnit(r.Context(), req.Spec, req.Unit, s.cfg.JobParallelism)
-	close(hbDone)
+	close(hbStop)
+	<-hbExited
 	log := s.log.With("kind", req.Spec.Kind, "unit", req.Unit)
 	if err != nil {
 		emit(UnitEvent{Event: UnitEventError, Unit: req.Unit, Error: err.Error()})

@@ -142,26 +142,6 @@ func (r *Report) Violations() []validate.Violation {
 	return vs
 }
 
-// scaleDimmed returns the flows with every dimmed fiber's rate scaled
-// to its surviving fraction (the resilience layer's dimming model).
-func scaleDimmed(flows []sps.Flow, dimmed []resilience.FiberDim) []sps.Flow {
-	if len(dimmed) == 0 {
-		return flows
-	}
-	scale := make(map[[2]int]float64, len(dimmed))
-	for _, d := range dimmed {
-		scale[[2]int{d.Ribbon, d.Fiber}] = d.Scale
-	}
-	out := make([]sps.Flow, len(flows))
-	copy(out, flows)
-	for i := range out {
-		if s, ok := scale[[2]int{out[i].SrcRibbon, out[i].Fiber}]; ok {
-			out[i].Rate *= s
-		}
-	}
-	return out
-}
-
 // maxOverMeanLive computes max/mean over the live entries only; dead
 // switches carry no fibers and must not drag the mean down.
 func maxOverMeanLive(vals []float64, alive []bool) float64 {
@@ -224,6 +204,7 @@ func (c *Campaign) Run() (*Report, error) {
 	fiberGbps := float64(c.SPS.FiberRate()) / 1e9
 	portGbps := float64(c.SPS.PortRate()) / 1e9 * float64(c.SPS.N)
 	switchCap := float64(c.SPS.N * c.SPS.Alpha())
+	ss := resilience.SwitchSim{Switch: c.Switch, Kind: c.Kind, Sizes: c.Sizes, Seed: c.Seed, Validate: c.Validate}
 
 	rep := &Report{Policy: c.Policy}
 	cur := dep
@@ -247,7 +228,7 @@ func (c *Campaign) Run() (*Report, error) {
 		if anyDead {
 			alive = st.Alive
 		}
-		epFlows := scaleDimmed(flows, st.Dimmed)
+		epFlows := resilience.ScaleFlows(flows, st.Dimmed)
 		sense := Sense{
 			Epoch:          e,
 			FiberLoad:      dep.FiberLoads(epFlows),
@@ -295,43 +276,8 @@ func (c *Campaign) Run() (*Report, error) {
 		mats := cur.SwitchMatrices(epFlows)
 		live := liveSwitches(h, st.Alive)
 		dur := end - start
-		type jobResult struct {
-			rep        *hbmswitch.Report
-			violations []validate.Violation
-		}
-		results, err := parallel.MapCtx(c.ctx(), workers, len(live), func(i int) (jobResult, error) {
-			sw := live[i]
-			cfg := c.Switch
-			cfg.Degraded = hbmswitch.Degraded{
-				DeadGroups:   st.DeadGroups[sw],
-				DeadChannels: st.DeadChannels[sw],
-			}
-			cfg.Shadow = c.Validate && st.SwitchHealthy(sw)
-			m := mats[sw]
-			sps.ClampRows(m)
-			swm, err := hbmswitch.New(cfg)
-			if err != nil {
-				return jobResult{}, fmt.Errorf("epoch %d switch %d: %w", e, sw, err)
-			}
-			var obs *validate.Observer
-			if c.Validate {
-				obs = validate.NewObserver(cfg, dur)
-				swm.SetProbe(obs.Probe())
-			}
-			seed := parallel.Seed(c.Seed, e*h+sw)
-			srcs := traffic.UniformSources(m, cfg.PortRate, c.Kind, c.Sizes, sim.NewRNG(seed))
-			r, err := swm.Run(traffic.NewMux(srcs), dur)
-			if err != nil {
-				return jobResult{}, fmt.Errorf("epoch %d switch %d: %w", e, sw, err)
-			}
-			res := jobResult{rep: r}
-			if obs != nil {
-				for _, v := range obs.CheckEpoch(r, m.Admissible(1e-6)) {
-					v.Detail = fmt.Sprintf("switch %d: %s", sw, v.Detail)
-					res.violations = append(res.violations, v)
-				}
-			}
-			return res, nil
+		results, err := parallel.MapCtx(c.ctx(), workers, len(live), func(i int) (resilience.SwitchResult, error) {
+			return ss.Run(st, e, live[i], mats[live[i]], dur)
 		})
 		if err != nil {
 			return nil, err
@@ -341,12 +287,12 @@ func (c *Campaign) Run() (*Report, error) {
 		queuePeak := make([]int64, h)
 		deliveredBytes := make([]int64, h)
 		for i, sw := range live {
-			r := results[i].rep
+			r := results[i].Report
 			er.GoodputGbps += r.Throughput * portGbps
 			delivered[sw] = float64(r.DeliveredBytes)
 			deliveredBytes[sw] = r.DeliveredBytes
 			queuePeak[sw] = r.TailHighWater
-			er.Violations = append(er.Violations, results[i].violations...)
+			er.Violations = append(er.Violations, results[i].Violations...)
 		}
 		er.DeliveredMaxOverMean = maxOverMeanLive(delivered, st.Alive)
 		rep.Epochs = append(rep.Epochs, er)
@@ -447,8 +393,8 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%s,%s,%s,%s,%d\n",
 			e, int64(ep.Start), int64(ep.End), rh, ep.MovedFibers,
-			formatFloat(ep.OfferedMaxOverMean), formatFloat(ep.DeliveredMaxOverMean),
-			formatFloat(ep.OfferedGbps), formatFloat(ep.GoodputGbps),
+			resilience.FormatFloat(ep.OfferedMaxOverMean), resilience.FormatFloat(ep.DeliveredMaxOverMean),
+			resilience.FormatFloat(ep.OfferedGbps), resilience.FormatFloat(ep.GoodputGbps),
 			len(ep.Violations))
 	}
 	_, err := io.WriteString(w, b.String())
@@ -463,16 +409,16 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	b.WriteString(strconv.Quote(r.Policy))
 	fmt.Fprintf(&b, `,"rehashes":%d,"moved_fibers":%d,"offered_max_over_mean":%s,"delivered_max_over_mean":%s,"goodput_gbps":%s,"epochs":[`,
 		r.Rehashes, r.MovedFibers,
-		formatFloat(r.OfferedMaxOverMean), formatFloat(r.DeliveredMaxOverMean),
-		formatFloat(r.GoodputGbps))
+		resilience.FormatFloat(r.OfferedMaxOverMean), resilience.FormatFloat(r.DeliveredMaxOverMean),
+		resilience.FormatFloat(r.GoodputGbps))
 	for e, ep := range r.Epochs {
 		if e > 0 {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, `{"start_ps":%d,"end_ps":%d,"rehashed":%t,"moved_fibers":%d,"offered_max_over_mean":%s,"delivered_max_over_mean":%s,"offered_gbps":%s,"goodput_gbps":%s,"violations":[`,
 			int64(ep.Start), int64(ep.End), ep.Rehashed, ep.MovedFibers,
-			formatFloat(ep.OfferedMaxOverMean), formatFloat(ep.DeliveredMaxOverMean),
-			formatFloat(ep.OfferedGbps), formatFloat(ep.GoodputGbps))
+			resilience.FormatFloat(ep.OfferedMaxOverMean), resilience.FormatFloat(ep.DeliveredMaxOverMean),
+			resilience.FormatFloat(ep.OfferedGbps), resilience.FormatFloat(ep.GoodputGbps))
 		for i, v := range ep.Violations {
 			if i > 0 {
 				b.WriteByte(',')
@@ -485,13 +431,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	b.WriteString("]}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// formatFloat renders a float compactly and deterministically (the
-// telemetry convention: integers without a decimal point).
-func formatFloat(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', 9, 64)
 }
