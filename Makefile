@@ -44,6 +44,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) test -run 'TestSchedulerZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestPerPacketAllocBudget' -count=1 ./internal/hbmswitch
+	$(GO) test -run 'TestWriteJSONAllocsIndependentOfSpanCount' -count=1 ./internal/telemetry
 
 # Compare two bench-save snapshots: make bench-diff OLD=a.json NEW=b.json
 # (defaults to the committed pre/post event-core snapshots).

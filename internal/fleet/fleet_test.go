@@ -392,6 +392,37 @@ func TestFleetAPI(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsOversizedBody pins the coordinator's request-body
+// cap: an otherwise valid spec behind more than maxBodyBytes of
+// whitespace gets 413 with a JSON error, and the coordinator keeps
+// accepting jobs.
+func TestFleetRejectsOversizedBody(t *testing.T) {
+	c := newFleet(t, 1, nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(quickSpecs()["sim"])
+	pad := bytes.Repeat([]byte(" "), maxBodyBytes)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(append(pad, body...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	decErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || apiErr.Error == "" {
+		t.Fatalf("oversized submit: HTTP %d, error %q (%v), want 413 with a JSON error",
+			resp.StatusCode, apiErr.Error, decErr)
+	}
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after the oversized body: HTTP %d", resp.StatusCode)
+	}
+}
+
 // TestFleetRejects pins admission validation.
 func TestFleetRejects(t *testing.T) {
 	if _, err := New(Config{}); err == nil {

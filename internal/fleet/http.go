@@ -55,12 +55,21 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
+// maxBodyBytes caps a submitted spec's body at spsd's 1 MiB, so a
+// spec either daemon accepts the other does too.
+const maxBodyBytes = 1 << 20
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec serve.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad job spec: "+err.Error())
 		return
 	}
 	j, err := c.Submit(spec)

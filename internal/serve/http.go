@@ -104,12 +104,30 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
+// maxBodyBytes caps every JSON request body (POST /jobs, /units): a
+// spec is a few hundred bytes, so 1 MiB only stops abuse.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body, capped at maxBodyBytes
+// and strict about unknown fields. On failure it returns the status to
+// answer with: 413 for an oversized body, else 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+	if status, err := decodeBody(w, r, &spec); err != nil {
+		writeError(w, status, "bad job spec: "+err.Error())
 		return
 	}
 	j, err := s.Submit(spec)

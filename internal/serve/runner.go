@@ -133,9 +133,10 @@ func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
 	}
 	if tracer != nil {
 		var tbuf bytes.Buffer
-		if err := tracer.WriteJSON(&tbuf); err == nil {
-			env.saveTrace(tbuf.Bytes())
+		if err := tracer.WriteJSON(&tbuf); err != nil {
+			return nil, fmt.Errorf("serve: render trace: %w", err)
 		}
+		env.saveTrace(tbuf.Bytes())
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {

@@ -84,10 +84,8 @@ var unitHeartbeat = 250 * time.Millisecond
 // respects client disconnect.
 func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 	var req UnitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad unit request: "+err.Error())
+	if status, err := decodeBody(w, r, &req); err != nil {
+		writeError(w, status, "bad unit request: "+err.Error())
 		return
 	}
 	req.Spec.Normalize()

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -103,109 +105,93 @@ func MergeTracers(parts ...*Tracer) (*Tracer, error) {
 }
 
 // WriteJSON renders the spans as Chrome trace-event JSON. Events are
-// emitted in (start, proc, track, packet, name) order via a stable
-// sort, so the bytes do not depend on hook call order across merged
-// tracers. Timestamps ("ts", microseconds in the trace-event format)
-// are printed as exact decimal picosecond fractions. No-op on nil.
+// emitted in (start, proc, track, packet, name, end) order, so the
+// bytes do not depend on hook call order across merged tracers. That
+// key covers every Span field: spans that compare equal are identical
+// and render identically, so the sort need not be stable. Timestamps
+// ("ts", microseconds in the trace-event format) are printed as exact
+// decimal picosecond fractions. The output is built in one buffer and
+// written with one Write; rendering allocates nothing per span.
+// No-op on nil.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	evs := append([]Span(nil), t.events...)
-	sortSpans(evs)
-	var b strings.Builder
-	b.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
+	evs := slices.Clone(t.events) // Events keeps record order
+	slices.SortFunc(evs, compareSpans)
+	b := make([]byte, 0, len(traceHead)+len(evs)*spanBytes+len(traceTail))
+	b = append(b, traceHead...)
 	for i, e := range evs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(`{"name":`)
-		b.WriteString(strconv.Quote(e.Name))
-		b.WriteString(`,"cat":"packet","ph":"X","ts":`)
-		b.WriteString(psToMicros(e.Start))
-		b.WriteString(`,"dur":`)
-		b.WriteString(psToMicros(e.End - e.Start))
-		b.WriteString(`,"pid":`)
-		b.WriteString(strconv.Itoa(e.Proc))
-		b.WriteString(`,"tid":`)
-		b.WriteString(strconv.Itoa(e.Track))
-		b.WriteString(`,"args":{"pkt":`)
-		b.WriteString(strconv.FormatUint(e.Pkt, 10))
-		b.WriteString("}}")
+		b = append(b, `{"name":`...)
+		b = strconv.AppendQuote(b, e.Name)
+		b = append(b, `,"cat":"packet","ph":"X","ts":`...)
+		b = appendMicros(b, e.Start)
+		b = append(b, `,"dur":`...)
+		b = appendMicros(b, e.End-e.Start)
+		b = append(b, `,"pid":`...)
+		b = strconv.AppendInt(b, int64(e.Proc), 10)
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, int64(e.Track), 10)
+		b = append(b, `,"args":{"pkt":`...)
+		b = strconv.AppendUint(b, e.Pkt, 10)
+		b = append(b, "}}"...)
 	}
-	b.WriteString("]}\n")
-	_, err := io.WriteString(w, b.String())
+	b = append(b, traceTail...)
+	_, err := w.Write(b)
 	return err
 }
 
-// sortSpans orders spans deterministically by (Start, Proc, Track,
-// Pkt, Name, End) using an insertion-friendly stable sort.
-func sortSpans(evs []Span) {
-	less := func(a, b Span) bool {
-		switch {
-		case a.Start != b.Start:
-			return a.Start < b.Start
-		case a.Proc != b.Proc:
-			return a.Proc < b.Proc
-		case a.Track != b.Track:
-			return a.Track < b.Track
-		case a.Pkt != b.Pkt:
-			return a.Pkt < b.Pkt
-		case a.Name != b.Name:
-			return a.Name < b.Name
-		default:
-			return a.End < b.End
-		}
+const (
+	traceHead = `{"displayTimeUnit":"ns","traceEvents":[`
+	traceTail = "]}\n"
+	// spanBytes sizes the render buffer: a span renders to about
+	// 100-115 bytes, so the buffer does not have to grow.
+	spanBytes = 128
+)
+
+// compareSpans orders spans by (Start, Proc, Track, Pkt, Name, End).
+// Early returns, not cmp.Or: most pairs differ in Start, and cmp.Or
+// would compare every field, which halves sort speed.
+func compareSpans(a, b Span) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	// sort.SliceStable with a total order; ties cannot occur beyond
-	// identical spans, which compare equal and keep insertion order.
-	sortStable(evs, less)
+	if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Track, b.Track); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pkt, b.Pkt); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.End, b.End)
 }
 
-func sortStable(evs []Span, less func(a, b Span) bool) {
-	// Plain binary insertion sort is fine at trace sizes (sampled
-	// packets only) and avoids reflection-based sort.SliceStable.
-	for i := 1; i < len(evs); i++ {
-		lo, hi := 0, i
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if less(evs[i], evs[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		if lo < i {
-			e := evs[i]
-			copy(evs[lo+1:i+1], evs[lo:i])
-			evs[lo] = e
-		}
-	}
-}
-
-// psToMicros renders integer picoseconds as decimal microseconds with
-// no floating-point rounding: 12_345_678 ps -> "12.345678".
-func psToMicros(t sim.Time) string {
-	ps := int64(t)
-	neg := ps < 0
-	if neg {
+// appendMicros appends integer picoseconds as decimal microseconds
+// with no floating-point rounding and no trailing fraction zeros:
+// 12_345_678 ps -> "12.345678", 2_500_000 ps -> "2.5".
+func appendMicros(b []byte, t sim.Time) []byte {
+	ps := uint64(t)
+	if t < 0 {
+		b = append(b, '-')
 		ps = -ps
 	}
-	whole := ps / 1_000_000
+	b = strconv.AppendUint(b, ps/1_000_000, 10)
 	frac := ps % 1_000_000
-	var b strings.Builder
-	if neg {
-		b.WriteByte('-')
+	if frac == 0 {
+		return b
 	}
-	b.WriteString(strconv.FormatInt(whole, 10))
-	if frac != 0 {
-		s := strconv.FormatInt(frac, 10)
-		for len(s) < 6 {
-			s = "0" + s
-		}
-		s = strings.TrimRight(s, "0")
-		b.WriteByte('.')
-		b.WriteString(s)
+	b = append(b, '.')
+	for d := uint64(100_000); frac != 0; d /= 10 {
+		b = append(b, byte('0'+frac/d))
+		frac %= d
 	}
-	return b.String()
+	return b
 }

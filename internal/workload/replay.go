@@ -32,6 +32,13 @@ type Record struct {
 
 // ReadRecords parses an NDJSON trace, validating ordering and bounds.
 func ReadRecords(r io.Reader) ([]Record, error) {
+	return readRecords(r, 0)
+}
+
+// readRecords is ReadRecords that also rejects, by line, any port at
+// or above ports — the switch geometry's N. ports <= 0 skips that
+// check.
+func readRecords(r io.Reader, ports int) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -55,6 +62,10 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		}
 		if rec.Input < 0 || rec.Output < 0 {
 			return nil, fmt.Errorf("workload: trace line %d: negative port", line)
+		}
+		if ports > 0 && (rec.Input >= ports || rec.Output >= ports) {
+			return nil, fmt.Errorf("workload: trace line %d: port in %d / out %d out of range for %d ports",
+				line, rec.Input, rec.Output, ports)
 		}
 		if rec.Size < 1 || rec.Size > packet.MaxSize {
 			return nil, fmt.Errorf("workload: trace line %d: size %d out of [1, %d]",

@@ -240,7 +240,7 @@ func New(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) (traffi
 			return nil, fmt.Errorf("workload: replay: %w", err)
 		}
 		defer f.Close()
-		recs, err := ReadRecords(f)
+		recs, err := readRecords(f, m.N)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"pbrouter/internal/packet"
@@ -306,6 +309,27 @@ func TestReplayValidation(t *testing.T) {
 				t.Fatal("malformed trace accepted")
 			}
 		})
+	}
+}
+
+// TestReplayRejectsPortsBeyondGeometry checks New refuses a replay
+// record whose port is not on the switch, naming the line, instead of
+// handing the simulator an out-of-range port.
+func TestReplayRejectsPortsBeyondGeometry(t *testing.T) {
+	for _, rec := range []string{
+		`{"t_ps":5,"in":99,"out":3,"size":64}`,
+		`{"t_ps":5,"in":3,"out":16,"size":64}`,
+	} {
+		path := filepath.Join(t.TempDir(), "trace.ndjson")
+		trace := `{"t_ps":1,"in":0,"out":15,"size":64}` + "\n\n" + rec + "\n"
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Kind: KindReplay, ReplayPath: path}
+		_, err := New(cfg, traffic.Uniform(16, 0.5), testRate, sim.NewRNG(1))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("record %s on a 16-port switch: got error %v, want one naming line 3", rec, err)
+		}
 	}
 }
 
