@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBatcherUnbatcher -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -fuzz=FuzzFrameAssembler -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -fuzz=FuzzTraceReader -fuzztime=$(FUZZTIME) ./internal/traffic/
+	$(GO) test -fuzz=FuzzReadRecords -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -fuzz=FuzzStaggeredInterleave -fuzztime=$(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzUnitEvent -fuzztime=$(FUZZTIME) ./internal/serve/

@@ -35,11 +35,6 @@ type Config struct {
 	// PortRate is P, the line rate of each of the N ports
 	// (α·W·R = 2.56 Tb/s in the reference design).
 	PortRate sim.Rate
-	// Sched selects the event-queue implementation of the switch's
-	// scheduler: sim.Wheel (the zero value, the hierarchical timing
-	// wheel) or sim.Heap (the legacy binary heap, kept for differential
-	// testing — both produce byte-identical output at the same seed).
-	Sched sim.Algorithm
 	// Speedup scales the HBM pin rate. 1.0 is the nominal §3.2 design;
 	// a few percent of speedup absorbs the write/read turnaround
 	// overhead and is what the OQ-mimicking claim assumes ("with a

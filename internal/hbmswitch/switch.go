@@ -228,13 +228,10 @@ func New(cfg Config) (*Switch, error) {
 		}
 	}
 
-	sched := &sim.Scheduler{}
-	sched.SetAlgorithm(cfg.Sched)
-
 	n := cfg.PFI.N
 	s := &Switch{
 		cfg:         cfg,
-		sched:       sched,
+		sched:       &sim.Scheduler{},
 		mem:         mem,
 		engine:      engine,
 		amap:        amap,

@@ -168,7 +168,6 @@ type ServerInfo struct {
 	QueueDepth     int                `json:"queue_depth"`
 	QueueCapacity  int                `json:"queue_capacity"`
 	Checkpointing  bool               `json:"checkpointing"`
-	Scheduler      string             `json:"scheduler"` // default event-queue algorithm
 	Geometry       GeometryInfo       `json:"geometry"`
 	Core           corestats.Snapshot `json:"core"` // event-core internals since boot
 }
@@ -194,7 +193,6 @@ func (s *Server) Info() ServerInfo {
 		QueueDepth:     len(s.queue),
 		QueueCapacity:  cap(s.queue),
 		Checkpointing:  s.cfg.CheckpointDir != "",
-		Scheduler:      sim.Wheel.String(),
 		Geometry: GeometryInfo{
 			Ribbons:         ref.N,
 			FibersPerRibbon: ref.F,

@@ -86,10 +86,7 @@ func runSpec(ctx context.Context, spec Spec, env runEnv) ([]byte, error) {
 // instrumentation does not change results (the switch's own tests
 // pin that invariant).
 func runSim(ctx context.Context, spec *SimSpec, env runEnv) ([]byte, error) {
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
+	cfg := spec.Config()
 	sw, err := hbmswitch.New(cfg)
 	if err != nil {
 		return nil, err

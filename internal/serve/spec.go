@@ -74,7 +74,6 @@ type SimSpec struct {
 	Bypass    *bool    `json:"bypass,omitempty"`  // HBM bypass (default on)
 	Stacks    int      `json:"stacks,omitempty"`  // HBM stacks (4 = reference)
 	Refresh   bool     `json:"refresh,omitempty"` // REFsb refresh scheduler
-	Sched     string   `json:"sched,omitempty"`   // event queue: wheel (default) | heap
 
 	// TraceSample, when positive, records a packet-lifecycle Chrome
 	// trace (one packet in N) retrievable from the trace endpoint —
@@ -136,11 +135,7 @@ func (s *SimSpec) Check() error {
 	if s.TraceSample < 0 {
 		return fmt.Errorf("sim: trace_sample must not be negative, got %d", s.TraceSample)
 	}
-	cfg, err := s.Config()
-	if err != nil {
-		return err
-	}
-	if _, err := cli.Matrix(s.Matrix, cfg.PFI.N, s.Load); err != nil {
+	if _, err := cli.Matrix(s.Matrix, s.Config().PFI.N, s.Load); err != nil {
 		return err
 	}
 	if _, err := cli.Sizes(s.Sizes); err != nil {
@@ -155,7 +150,7 @@ func (s *SimSpec) Check() error {
 // Config resolves the switch configuration exactly as cmd/spssim
 // builds it from the equivalent flags; the command and the daemon
 // share this path so the two can never drift.
-func (s *SimSpec) Config() (hbmswitch.Config, error) {
+func (s *SimSpec) Config() hbmswitch.Config {
 	cfg := hbmswitch.Reference()
 	if s.Stacks != 4 {
 		cfg = hbmswitch.Scaled(s.Stacks, sim.Rate(float64(cfg.PortRate)*float64(s.Stacks)/4))
@@ -165,12 +160,7 @@ func (s *SimSpec) Config() (hbmswitch.Config, error) {
 	cfg.Policy = core.Policy{PadFrames: *s.Pad, BypassHBM: *s.Bypass}
 	cfg.FlushTimeout = 100 * sim.Nanosecond
 	cfg.EnableRefresh = s.Refresh
-	algo, err := sim.ParseAlgorithm(s.Sched)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Sched = algo
-	return cfg, nil
+	return cfg
 }
 
 // NewStream builds the seeded traffic stream for the spec.

@@ -271,6 +271,12 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte(`{"schema":"spsd-checkpoint/9","id":"x"}`)); err == nil {
 		t.Error("unknown schema must be rejected")
 	}
+	// A checkpoint written when sim specs still had a "sched" option
+	// decodes: checkpoints tolerate unknown fields, unlike submissions.
+	old, err := DecodeCheckpoint([]byte(`{"schema":"spsd-checkpoint/1","id":"j1","state":"queued","spec":{"kind":"sim","sim":{"sched":"heap","seed":3}}}`))
+	if err != nil || old.Spec.Sim == nil || old.Spec.Sim.Seed != 3 {
+		t.Errorf("old checkpoint with a sched option: %+v, %v", old, err)
+	}
 
 	dir := t.TempDir()
 	if err := WriteCheckpointFile(dir, cp); err != nil {

@@ -16,12 +16,12 @@ type Handler interface {
 
 // event is one scheduled callback — either a closure (fn) or an
 // intrusive (h, code, a, p) dispatch — stored in the scheduler's
-// index-stable arena. at and seq order the event; next links it into
-// a timing-wheel slot list (arena index + 1, 0 = nil) so that slot
-// storage is flat and the steady state allocates nothing.
+// index-stable arena. at orders the event; next links it into a
+// timing-wheel slot list (arena index + 1, 0 = nil) whose order is
+// scheduling order, so slot storage is flat, equal times need no
+// sequence number, and the steady state allocates nothing.
 type event struct {
 	at   Time
-	seq  uint64
 	next int32
 	code int32
 	a    int
@@ -30,58 +30,14 @@ type event struct {
 	p    any
 }
 
-// Algorithm selects the Scheduler's queue implementation.
-type Algorithm int
-
-const (
-	// Wheel is the default: a hierarchical timing wheel (wheelLevels
-	// levels of wheelSlots slots, one picosecond granularity at level
-	// 0) with an unsorted overflow list for events beyond the wheel
-	// span. Push and pop are O(1) amortized, slot storage is flat, and
-	// all events at one tick drain in a single batched pass.
-	Wheel Algorithm = iota
-	// Heap is the legacy binary min-heap, kept for differential
-	// testing: wheel and heap runs must produce byte-identical output
-	// at the same seed (see TestWheelHeapIdentical*).
-	Heap
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Wheel:
-		return "wheel"
-	case Heap:
-		return "heap"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// ParseAlgorithm parses "wheel" or "heap".
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "wheel":
-		return Wheel, nil
-	case "heap":
-		return Heap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler algorithm %q (want wheel|heap)", s)
-	}
-}
-
-// Scheduler is a deterministic discrete-event executor. The zero value
-// is ready to use at time 0 and runs on the timing wheel; call
-// SetAlgorithm(Heap) before scheduling anything to get the legacy
-// binary heap. Events with equal times fire in the order they were
-// scheduled (seq breaks ties) under both algorithms, which keeps runs
-// byte-identical across implementations.
+// Scheduler is a deterministic discrete-event executor over a
+// hierarchical timing wheel (wheel.go). The zero value is ready to use
+// at time 0. Events with equal times fire in the order they were
+// scheduled, so a run is a pure function of its inputs.
 type Scheduler struct {
 	now     Time
-	seq     uint64
 	events  uint64
 	pending int
-	algo    Algorithm
 
 	// Wheel internals accounting (stats.go): slot cascades performed,
 	// events moved by cascades, and events parked on the overflow
@@ -91,34 +47,19 @@ type Scheduler struct {
 	cascadeEvents uint64
 	overflowed    uint64
 
-	// Arena: index-stable payload storage shared by both algorithms,
-	// recycled through free so the steady state allocates nothing.
+	// Arena: index-stable payload storage, recycled through free so
+	// the steady state allocates nothing.
 	arena []event
 	free  []int32
 
-	// Heap state (Algorithm == Heap).
-	keys []eventKey
-
-	// Wheel state (Algorithm == Wheel): per-level slot lists (arena
-	// index + 1; 0 = empty) with occupancy bitmaps, plus the overflow
-	// list for events beyond the wheel span.
+	// Wheel state: per-level slot lists (arena index + 1; 0 = empty)
+	// with occupancy bitmaps, plus the overflow list for events beyond
+	// the wheel span.
 	heads    [wheelLevels][wheelSlots]int32
 	tails    [wheelLevels][wheelSlots]int32
 	occ      [wheelLevels][wheelSlots / 64]uint64
 	overflow []int32
 }
-
-// SetAlgorithm selects the queue implementation. It panics if events
-// are pending: switching mid-run would lose them.
-func (s *Scheduler) SetAlgorithm(a Algorithm) {
-	if s.pending != 0 {
-		panic("sim: SetAlgorithm with events pending")
-	}
-	s.algo = a
-}
-
-// Algorithm returns the queue implementation in use.
-func (s *Scheduler) Algorithm() Algorithm { return s.algo }
 
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -164,12 +105,10 @@ func (s *Scheduler) AfterEvent(d Time, h Handler, code, a int, p any) {
 	s.AtEvent(s.now+d, h, code, a, p)
 }
 
-// push stores the payload in a recycled arena slot and hands its index
-// to the active queue implementation.
+// push stores the payload in a recycled arena slot and links its index
+// into the wheel.
 func (s *Scheduler) push(at Time, ev event) {
-	s.seq++
 	ev.at = at
-	ev.seq = s.seq
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -180,20 +119,13 @@ func (s *Scheduler) push(at Time, ev event) {
 		s.arena = append(s.arena, ev)
 	}
 	s.pending++
-	if s.algo == Heap {
-		s.heapPush(at, idx)
-	} else {
-		s.wheelPush(idx)
-	}
+	s.wheelPush(idx)
 }
 
 // NextTime returns the time of the earliest pending event.
 func (s *Scheduler) NextTime() (Time, bool) {
 	if s.pending == 0 {
 		return 0, false
-	}
-	if s.algo == Heap {
-		return s.keys[0].at, true
 	}
 	_, at, ok := s.wheelMin()
 	return at, ok
@@ -202,17 +134,9 @@ func (s *Scheduler) NextTime() (Time, bool) {
 // Step executes the single earliest pending event. It reports whether
 // an event was executed.
 func (s *Scheduler) Step() bool {
-	var idx int32
-	if s.algo == Heap {
-		if len(s.keys) == 0 {
-			return false
-		}
-		idx = s.heapPop().idx
-	} else {
-		var ok bool
-		if idx, ok = s.wheelPop(); !ok {
-			return false
-		}
+	idx, ok := s.wheelPop()
+	if !ok {
+		return false
 	}
 	s.exec(idx)
 	return true
@@ -246,13 +170,9 @@ func (s *Scheduler) RunUntil(horizon Time) {
 		s.Step()
 	}
 	if s.now < horizon {
-		if s.algo == Wheel {
-			// Moving the wheel clock re-levels pending slots (no events
-			// exist at or before the horizon, so this only cascades).
-			s.wheelAdvance(horizon)
-		} else {
-			s.now = horizon
-		}
+		// Moving the wheel clock re-levels pending slots (no events
+		// exist at or before the horizon, so this only cascades).
+		s.wheelAdvance(horizon)
 	}
 }
 

@@ -1,7 +1,7 @@
 package sim
 
-// SchedStats is a snapshot of the scheduler's event-core internals —
-// the counters PR 6's timing wheel kept to itself. Everything here is
+// SchedStats is a snapshot of the scheduler's event-core internals,
+// including the timing wheel's own counters. Everything here is
 // a pure function of the executed event sequence, so two runs of the
 // same seed report identical stats regardless of wall clock or worker
 // placement; telemetry probes built on them stay deterministic.
@@ -12,12 +12,12 @@ type SchedStats struct {
 	Pending int
 	// Cascades counts (level, slot) lists redistributed to lower
 	// wheel levels as the clock advanced; CascadeEvents counts the
-	// events those cascades moved. Always zero under the heap.
+	// events those cascades moved.
 	Cascades      uint64
 	CascadeEvents uint64
 	// Overflowed counts events pushed past the wheel span (2^48 ps)
 	// onto the calendar overflow list, including re-pushes when the
-	// list refills the wheel. Always zero under the heap.
+	// list refills the wheel.
 	Overflowed uint64
 }
 

@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timing wheel (the Scheduler's default queue).
+// Hierarchical timing wheel (the Scheduler's event queue).
 //
 // Absolute event times are split into wheelLevels base-wheelSlots
 // digits; an event lives at the highest level whose digit differs
@@ -16,9 +16,9 @@ import "math/bits"
 // When the clock advances into a new slot at some level, that slot's
 // list cascades down to lower levels. Cascades and direct insertions
 // both append, and a cascade always happens before any direct insert
-// into the same window can occur, so same-time events stay in seq
-// order — the property that keeps wheel runs byte-identical to heap
-// runs.
+// into the same window can occur, so same-time events stay in
+// scheduling order: the wheel fires events exactly as a priority
+// queue keyed on (time, scheduling sequence number) would.
 //
 // Events beyond the wheel span (2^48 ps ≈ 281 s of absolute
 // simulated time, e.g. sim.Forever sentinels) go to an unsorted
@@ -115,7 +115,7 @@ func (s *Scheduler) wheelMin() (int32, Time, bool) {
 	// Higher levels hold coarser windows: the first occupied slot past
 	// the clock's digit is the nearest window, and the earliest event
 	// within it is found by walking its list (first node with the
-	// minimum time wins ties, because lists are in seq order).
+	// minimum time wins ties, because lists are in scheduling order).
 	for l := 1; l < wheelLevels; l++ {
 		slot := s.scanOcc(l, digit(s.now, l)+1)
 		if slot < 0 {
@@ -177,8 +177,8 @@ func (s *Scheduler) slotPopHead(level, slot int) int32 {
 // wheelAdvance moves the wheel clock to at, cascading every slot the
 // clock enters from the highest changed level downward, and refilling
 // from the overflow list when the clock crosses into its range.
-// Cascading walks each list in order and re-appends, preserving seq
-// order per destination slot.
+// Cascading walks each list in order and re-appends, preserving
+// scheduling order per destination slot.
 func (s *Scheduler) wheelAdvance(at Time) {
 	if at == s.now {
 		return
@@ -187,8 +187,8 @@ func (s *Scheduler) wheelAdvance(at Time) {
 	s.now = at
 	if top >= wheelLevels {
 		// The clock crossed the wheel span: everything still pending
-		// lives in overflow. Reinsert what now fits (walk order is seq
-		// order, so per-slot FIFOs stay sorted by seq).
+		// lives in overflow. Reinsert what now fits (walk order is
+		// scheduling order, so per-slot FIFOs stay in that order).
 		pend := s.overflow
 		s.overflow = s.overflow[:0]
 		for _, idx := range pend {

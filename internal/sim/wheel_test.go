@@ -1,47 +1,252 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 )
 
-// TestWheelHeapDifferentialRandom is the scheduler's core differential
-// test: a randomized workload — including handler-driven reschedules —
-// must execute in the identical order on the wheel and on the legacy
-// heap.
-func TestWheelHeapDifferentialRandom(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		run := func(algo Algorithm) []string {
-			var s Scheduler
-			s.SetAlgorithm(algo)
-			rng := NewRNG(seed)
-			var got []string
-			var reschedule func(tag int) func()
-			reschedule = func(tag int) func() {
-				return func() {
-					got = append(got, fmt.Sprintf("%d@%d", tag, s.Now()))
-					if tag < 200 {
-						// Mix of near (same tick / same 256-window) and far
-						// (cross-level) hops, plus occasional zero delays.
-						d := Time(rng.Intn(1 << uint(4+tag%12)))
-						s.After(d, reschedule(tag+7))
-					}
+// refEvent is one pending event of refScheduler.
+type refEvent struct {
+	at      Time
+	seq     uint64
+	fn      func()
+	h       Handler
+	code, a int
+}
+
+// refHeap is a binary min-heap over (at, seq).
+type refHeap []refEvent
+
+func (q refHeap) Len() int { return len(q) }
+func (q refHeap) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refHeap) Push(x any)   { *q = append(*q, x.(refEvent)) }
+func (q *refHeap) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// refScheduler is the reference event queue the timing wheel is
+// checked against: a plain binary heap ordered by (at, seq), with
+// Scheduler's clock semantics and nothing else.
+type refScheduler struct {
+	now Time
+	seq uint64
+	q   refHeap
+}
+
+func (r *refScheduler) Now() Time { return r.now }
+func (r *refScheduler) Len() int  { return len(r.q) }
+
+func (r *refScheduler) push(ev refEvent) {
+	if ev.at < r.now {
+		panic("ref: scheduling in the past")
+	}
+	r.seq++
+	ev.seq = r.seq
+	heap.Push(&r.q, ev)
+}
+
+func (r *refScheduler) At(t Time, fn func())    { r.push(refEvent{at: t, fn: fn}) }
+func (r *refScheduler) After(d Time, fn func()) { r.At(r.now+d, fn) }
+func (r *refScheduler) AtEvent(t Time, h Handler, code, a int, _ any) {
+	r.push(refEvent{at: t, h: h, code: code, a: a})
+}
+func (r *refScheduler) AfterEvent(d Time, h Handler, code, a int, p any) {
+	r.AtEvent(r.now+d, h, code, a, p)
+}
+
+func (r *refScheduler) NextTime() (Time, bool) {
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	return r.q[0].at, true
+}
+
+func (r *refScheduler) Step() bool {
+	if len(r.q) == 0 {
+		return false
+	}
+	ev := heap.Pop(&r.q).(refEvent)
+	r.now = ev.at
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.h.HandleEvent(ev.code, ev.a, nil)
+	}
+	return true
+}
+
+func (r *refScheduler) RunUntil(horizon Time) {
+	for {
+		if at, ok := r.NextTime(); !ok || at > horizon {
+			break
+		}
+		r.Step()
+	}
+	if r.now < horizon {
+		r.now = horizon
+	}
+}
+
+func (r *refScheduler) Run() {
+	for r.Step() {
+	}
+}
+
+// eventQueue is the surface the differential workload drives, met by
+// both Scheduler and refScheduler.
+type eventQueue interface {
+	Now() Time
+	Len() int
+	At(t Time, fn func())
+	After(d Time, fn func())
+	AtEvent(t Time, h Handler, code, a int, p any)
+	AfterEvent(d Time, h Handler, code, a int, p any)
+	NextTime() (Time, bool)
+	RunUntil(horizon Time)
+	Run()
+}
+
+// diffRecord is one observation of a differential run: an event firing
+// (id > 0) or a probe of the queue between RunUntil slices (id <= 0).
+type diffRecord struct {
+	id int
+	at Time
+}
+
+// Probe ids: the clock, the pending count and the next event time
+// after a RunUntil slice.
+const (
+	probeNow = -iota
+	probeLen
+	probeNext
+)
+
+// diffHandler dispatches intrusive events of the differential workload:
+// code is the event id, a its remaining reschedule hops.
+type diffHandler struct{ fire func(id, hops int) }
+
+func (h *diffHandler) HandleEvent(code, a int, _ any) { h.fire(code, a) }
+
+// diffWorkload drives q through a seeded random workload and returns
+// everything observable about it. Delays are drawn at every wheel level
+// and past the 2^48 ps wheel span; handlers reschedule through every
+// scheduling call, sometimes several events at one far time so that
+// cascades must keep same-time events in seq order; and the run is cut
+// into RunUntil slices at random horizons with new events scheduled
+// from outside between slices.
+func diffWorkload(q eventQueue, seed uint64) []diffRecord {
+	rng := NewRNG(seed)
+	var out []diffRecord
+	delay := func() Time {
+		switch k := rng.Intn(wheelLevels + 3); {
+		case k == 0:
+			return 0
+		case k <= wheelLevels:
+			return Time(rng.Intn(1 << (wheelBits * k)))
+		case k == wheelLevels+1:
+			return Time(rng.Intn(1 << 10)) // near ties in one window
+		default:
+			return 1<<48 + Time(rng.Intn(1<<40)) // past the wheel span
+		}
+	}
+	lastID := 0
+	var schedule func(hops int)
+	fire := func(id, hops int) {
+		out = append(out, diffRecord{id, q.Now()})
+		if hops > 0 {
+			for n := rng.Intn(3); n > 0; n-- {
+				schedule(hops - 1)
+			}
+		}
+	}
+	h := &diffHandler{fire: fire}
+	closure := func(hops int) func() {
+		lastID++
+		id := lastID
+		return func() { fire(id, hops) }
+	}
+	intrusive := func() int {
+		lastID++
+		return lastID
+	}
+	schedule = func(hops int) {
+		d := delay()
+		switch rng.Intn(5) {
+		case 0:
+			q.At(q.Now()+d, closure(hops))
+		case 1:
+			q.After(d, closure(hops))
+		case 2:
+			q.AtEvent(q.Now()+d, h, intrusive(), hops, nil)
+		case 3:
+			q.AfterEvent(d, h, intrusive(), hops, nil)
+		default:
+			// A burst at one time, mixing closures and intrusive events.
+			t := q.Now() + d
+			for n := 2 + rng.Intn(4); n > 0; n-- {
+				if rng.Intn(2) == 0 {
+					q.At(t, closure(0))
+				} else {
+					q.AtEvent(t, h, intrusive(), 0, nil)
 				}
 			}
-			for i := 0; i < 64; i++ {
-				s.At(Time(rng.Intn(1<<20)), reschedule(i))
-			}
-			s.Run()
-			return got
 		}
-		wheel, heap := run(Wheel), run(Heap)
-		if len(wheel) != len(heap) {
-			t.Fatalf("seed %d: wheel ran %d events, heap %d", seed, len(wheel), len(heap))
+	}
+	for i := 0; i < 128; i++ {
+		schedule(10)
+	}
+	for slice := 0; slice < 48 && q.Len() > 0; slice++ {
+		horizon := q.Now() + delay()
+		if rng.Intn(8) == 0 {
+			horizon = q.Now() // an empty slice must not move the clock
 		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: event %d differs: wheel %s, heap %s", seed, i, wheel[i], heap[i])
+		q.RunUntil(horizon)
+		next, ok := q.NextTime()
+		if !ok {
+			next = -1
+		}
+		out = append(out,
+			diffRecord{probeNow, q.Now()},
+			diffRecord{probeLen, Time(q.Len())},
+			diffRecord{probeNext, next})
+		if rng.Intn(2) == 0 {
+			schedule(3)
+		}
+	}
+	q.Run()
+	return append(out, diffRecord{probeNow, q.Now()}, diffRecord{probeLen, Time(q.Len())})
+}
+
+// TestWheelHeapDifferentialRandom is the scheduler's core differential
+// test: across many seeds, a random workload of every scheduling call,
+// delay level and RunUntil slicing must be observed identically on the
+// timing wheel and on the reference heap.
+func TestWheelHeapDifferentialRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 32; seed++ {
+		var s Scheduler
+		wheel := diffWorkload(&s, seed)
+		ref := diffWorkload(&refScheduler{}, seed)
+		// The workload must reach the cascade and overflow paths.
+		if st := s.Stats(); st.Events < 500 || st.Cascades == 0 || st.Overflowed == 0 {
+			t.Fatalf("seed %d: workload too weak: %+v", seed, st)
+		}
+		for i := range min(len(wheel), len(ref)) {
+			if wheel[i] != ref[i] {
+				t.Fatalf("seed %d: record %d differs: wheel %+v, reference %+v", seed, i, wheel[i], ref[i])
 			}
+		}
+		if len(wheel) != len(ref) {
+			t.Fatalf("seed %d: wheel made %d records, reference %d", seed, len(wheel), len(ref))
 		}
 	}
 }
@@ -194,62 +399,69 @@ func TestWheelRunUntilRepeatedClamps(t *testing.T) {
 	}
 }
 
-// TestSetAlgorithm covers the config-switch surface: parsing, string
-// names, and the pending-events guard.
-func TestSetAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Algorithm
-		ok   bool
-	}{
-		{"", Wheel, true},
-		{"wheel", Wheel, true},
-		{"heap", Heap, true},
-		{"fifo", 0, false},
-	} {
-		got, err := ParseAlgorithm(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if Wheel.String() != "wheel" || Heap.String() != "heap" {
-		t.Fatalf("algorithm names: %v, %v", Wheel, Heap)
-	}
+// TestSchedulerZeroAlloc is the alloc budget for the event core: on a
+// warm scheduler, intrusive push + pop must not allocate at all.
+func TestSchedulerZeroAlloc(t *testing.T) {
 	var s Scheduler
-	s.SetAlgorithm(Heap)
-	if s.Algorithm() != Heap {
-		t.Fatal("SetAlgorithm(Heap) did not take")
+	h := &countingHandler{}
+	// Warm up: grow the arena and free list.
+	for i := 0; i < 64; i++ {
+		s.AtEvent(Time(i), h, 1, i, nil)
 	}
-	s.At(5, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAlgorithm with pending events did not panic")
-		}
-	}()
-	s.SetAlgorithm(Wheel)
+	s.Run()
+	per := testing.AllocsPerRun(1000, func() {
+		s.AfterEvent(3, h, 1, 0, nil)
+		s.AfterEvent(900, h, 2, 1, nil)
+		s.Run()
+	})
+	if per != 0 {
+		t.Errorf("%g allocs per push+pop cycle, want 0", per)
+	}
 }
 
-// TestSchedulerZeroAlloc is the alloc budget for the event core: on a
-// warm scheduler, intrusive push + pop must not allocate at all, under
-// both queue implementations.
-func TestSchedulerZeroAlloc(t *testing.T) {
-	for _, algo := range []Algorithm{Wheel, Heap} {
-		var s Scheduler
-		s.SetAlgorithm(algo)
-		h := &countingHandler{}
-		// Warm up: grow the arena, free list, and heap keys.
-		for i := 0; i < 64; i++ {
-			s.AtEvent(Time(i), h, 1, i, nil)
-		}
-		s.Run()
-		per := testing.AllocsPerRun(1000, func() {
-			s.AfterEvent(3, h, 1, 0, nil)
-			s.AfterEvent(900, h, 2, 1, nil)
-			s.Run()
+// benchDelays cycles through delays at wheel levels 0, 1 and 2.
+var benchDelays = func() []Time {
+	rng := NewRNG(1)
+	d := make([]Time, 1024)
+	for i := range d {
+		l := i % 3
+		d[i] = Time(1<<(wheelBits*l) + rng.Intn(1<<(wheelBits*(l+1))-1<<(wheelBits*l)))
+	}
+	return d
+}()
+
+// rescheduler keeps the scheduler's occupancy constant: every event it
+// handles schedules one more at the next delay of benchDelays.
+type rescheduler struct {
+	s *Scheduler
+	i int
+}
+
+func (r *rescheduler) HandleEvent(code, a int, p any) {
+	r.i++
+	r.s.AfterEvent(benchDelays[r.i&(len(benchDelays)-1)], r, code, a, p)
+}
+
+// BenchmarkScheduler measures one intrusive push + pop on a warm
+// scheduler holding a constant number of pending events, with delays
+// spread over wheel levels 0-2.
+func BenchmarkScheduler(b *testing.B) {
+	for _, pending := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			var s Scheduler
+			r := &rescheduler{s: &s}
+			for i := 0; i < pending; i++ {
+				s.AfterEvent(benchDelays[i&(len(benchDelays)-1)], r, 0, i, nil)
+			}
+			for i := 0; i < 4*pending; i++ {
+				s.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
 		})
-		if per != 0 {
-			t.Errorf("%v: %g allocs per push+pop cycle, want 0", algo, per)
-		}
 	}
 }
 

@@ -26,7 +26,8 @@ func FuzzTraceReader(f *testing.F) {
 			if err != nil || !ok {
 				return
 			}
-			if p.Size <= 0 || p.Input < 0 || p.Output < 0 {
+			n := tr.Header().N
+			if p.Size <= 0 || p.Input < 0 || p.Output < 0 || p.Input >= n || p.Output >= n {
 				t.Fatalf("malformed packet accepted: %+v", p)
 			}
 		}

@@ -142,6 +142,10 @@ func (tr *TraceReader) Next() (p *packet.Packet, ok bool, err error) {
 	if p.Size <= 0 {
 		return nil, false, fmt.Errorf("traffic: trace packet %d has size %d", tr.id, p.Size)
 	}
+	if p.Input >= tr.hdr.N || p.Output >= tr.hdr.N {
+		return nil, false, fmt.Errorf("traffic: trace packet %d has ports (%d,%d) outside 0..%d",
+			tr.id, p.Input, p.Output, tr.hdr.N-1)
+	}
 	pair := uint64(p.Input)<<32 | uint64(uint32(p.Output))
 	p.Seq = tr.seqs[pair]
 	tr.seqs[pair]++

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pbrouter/internal/packet"
@@ -63,6 +64,41 @@ func TestTraceWriterRejectsDisorder(t *testing.T) {
 	}
 	if err := tw.Add(&packet.Packet{Arrival: 200, Size: 64, Input: 5, Output: 0}); err == nil {
 		t.Fatal("out-of-range port accepted")
+	}
+}
+
+// TestTraceReaderRejectsOutOfRangePorts: a record whose input or
+// output is at or above the header's N fails on read, naming the
+// record, instead of reaching a switch that indexes by port.
+func TestTraceReaderRejectsOutOfRangePorts(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		off  int
+	}{{"input", 12}, {"output", 14}} {
+		var buf bytes.Buffer
+		tw, _ := NewTraceWriter(&buf, 16)
+		for i := 0; i < 3; i++ {
+			if err := tw.Add(&packet.Packet{Arrival: sim.Time(10 * i), Size: 64, Input: i, Output: 15 - i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tw.Finish()
+		raw := buf.Bytes()
+		raw[16+32+field.off] = 16 // record 2: port 16 on a 16-port trace
+		tr, err := NewTraceReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := tr.Next(); !ok || err != nil {
+			t.Fatalf("%s: record 1: ok=%v err=%v", field.name, ok, err)
+		}
+		p, ok, err := tr.Next()
+		if err == nil || ok || p != nil {
+			t.Fatalf("%s: record 2 with port 16 accepted: %+v", field.name, p)
+		}
+		if !strings.Contains(err.Error(), "packet 2 ") {
+			t.Errorf("%s: error %q does not name record 2", field.name, err)
+		}
 	}
 }
 

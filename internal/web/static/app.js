@@ -313,7 +313,6 @@ async function refreshServer() {
       ["workers", (i) => i.workers],
       ["job parallelism", (i) => i.job_parallelism || "per-CPU"],
       ["checkpointing", (i) => i.checkpointing],
-      ["event queue", (i) => i.scheduler],
     ]);
     kvTable($("#queue-info"), queue, [
       ["depth / capacity", (q) => q.depth + " / " + q.capacity],

@@ -44,4 +44,9 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`{"Bogus": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// A config saved while the switch still had an event-queue option
+	// fails to load cleanly rather than being half-applied.
+	if _, err := LoadConfig(strings.NewReader(`{"Switch": {"Sched": 1}}`)); err == nil || !strings.Contains(err.Error(), "Sched") {
+		t.Fatalf("config with a Sched key: err = %v, want an unknown-field error", err)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pbrouter/internal/packet"
 	"pbrouter/internal/sim"
 	"pbrouter/internal/traffic"
 )
@@ -47,5 +48,16 @@ func TestReplayTraceViaFacade(t *testing.T) {
 	tw2.Finish()
 	if _, err := r.ReplayTrace(&buf2, Microsecond, nil); err == nil {
 		t.Fatal("mismatched trace accepted")
+	}
+	// A record whose port is outside the header's N ends the replay
+	// with an error, not an index panic inside the switch.
+	var buf3 bytes.Buffer
+	tw3, _ := traffic.NewTraceWriter(&buf3, 16)
+	tw3.Add(&packet.Packet{Arrival: 10, Size: 64, Input: 1, Output: 2})
+	tw3.Finish()
+	raw := buf3.Bytes()
+	raw[16+12] = 99 // the record's input port
+	if _, err := r.ReplayTrace(bytes.NewReader(raw), Microsecond, nil); err == nil {
+		t.Fatal("trace record with input port 99 accepted")
 	}
 }
