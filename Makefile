@@ -64,7 +64,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzBatcherUnbatcher -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -fuzz=FuzzFrameAssembler -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -fuzz=FuzzTraceReader -fuzztime=$(FUZZTIME) ./internal/traffic/
-	$(GO) test -fuzz=FuzzReadRecords -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -fuzz=FuzzStaggeredInterleave -fuzztime=$(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzUnitEvent -fuzztime=$(FUZZTIME) ./internal/serve/
@@ -99,10 +98,18 @@ split-smoke:
 # Architecture-arena smoke: the quick (architecture × workload) grid
 # with the SPS validation observer on — exits non-zero on any
 # invariant violation — plus the cross-worker byte-identity, column
-# stream-identity, and heavy-tail separation pins (docs/workloads.md).
+# stream-identity, replay-column, and heavy-tail separation pins
+# (docs/workloads.md), and one trace file through every tool that
+# reads it: trafficgen writes and inspects it, spssim replays it as
+# recorded, spsarch replays it rescaled.
 arch-smoke:
 	$(GO) run ./cmd/spsarch -quick -j 8 -out /dev/null
-	$(GO) test -run 'TestGridContract|TestWorkerByteIdentity|TestColumnStreamIdentity|TestHeavyTailSeparation' -count=1 ./internal/arch
+	$(GO) test -run 'TestGridContract|TestWorkerByteIdentity|TestColumnStreamIdentity|TestReplayColumnMatchesReference|TestHeavyTailSeparation' -count=1 ./internal/arch
+	$(GO) run ./cmd/trafficgen -out /tmp/arch_smoke.trace -horizon 10us
+	$(GO) run ./cmd/trafficgen -stats /tmp/arch_smoke.trace > /dev/null
+	$(GO) run ./cmd/spssim -workload replay -replay /tmp/arch_smoke.trace -replay-scale 1 -horizon 10us > /dev/null
+	$(GO) run ./cmd/spsarch -workloads replay -replay /tmp/arch_smoke.trace -N 16 -horizon 5us -out /dev/null
+	@echo "arch smoke: grid, pins and trace round trip pass"
 
 # Serving smoke: build the real binaries, run an actual spsd daemon,
 # submit one job of each kind, and require every result byte-identical

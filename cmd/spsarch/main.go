@@ -12,15 +12,15 @@
 // (three-stage parallel packet switch), mesh (k×k grid).
 // Workloads: uniform (Poisson), heavytail (Pareto/lognormal flow
 // trains), onoff (bursty sources), diurnal (day-curve modulation),
-// replay (NDJSON trace; synthesized from the heavy-tail generator
-// when -replay is not given).
+// replay (a trafficgen trace, rescaled to -load; synthesized from the
+// heavy-tail generator when -replay is not given).
 //
 // Examples:
 //
 //	spsarch -quick -out -
 //	spsarch -archs sps,cq -workloads uniform,heavytail -out arena.csv
 //	spsarch -tail 1.2 -burst-ratio 8 -json -out arena.json
-//	spsarch -workloads replay -replay trace.ndjson -out -
+//	spsarch -workloads replay -replay core.trace -out -
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		load      = flag.Float64("load", 0.9, "offered load per input in (0,1]")
 		tail      = flag.Float64("tail", 1.3, "heavytail Pareto tail index in (1,5]")
 		burst     = flag.Float64("burst-ratio", 4, "onoff peak/mean load ratio (>= 1)")
-		replay    = flag.String("replay", "", "NDJSON trace for the replay workload (default: synthesized)")
+		replay    = flag.String("replay", "", "trafficgen trace for the replay workload (default: synthesized)")
 		xpointKB  = flag.Int64("crosspoint-kb", 64, "cq per-crosspoint buffer in KB")
 		horizon   = flag.String("horizon", "40us", "simulation horizon per cell")
 		seed      = flag.Uint64("seed", 1, "sweep seed")

@@ -13,6 +13,7 @@
 //	spssim -load 0.05 -bypass=false -pad=false   # feel the frame-fill latency
 //	spssim -telemetry tele.csv -trace trace.json -trace-sample 64
 //	spssim -json -horizon 5us > report.json
+//	spssim -workload replay -replay core.trace -replay-scale 1   # a trafficgen trace, as recorded
 package main
 
 import (
@@ -42,13 +43,13 @@ func main() {
 		pad     = flag.Bool("pad", true, "enable frame padding")
 		bypass  = flag.Bool("bypass", true, "enable HBM bypass")
 		stacks  = flag.Int("stacks", 4, "HBM stacks (4 = reference; 1 = scaled switch)")
-		replay  = flag.String("replay", "", "replay a trafficgen trace instead of generating traffic")
 
 		wl       = flag.String("workload", "uniform", "flow-level workload: uniform|heavytail|onoff|diurnal|replay (non-uniform kinds replace -arrival)")
 		flowDist = flag.String("flow-dist", "", "heavytail flow-size distribution: pareto|lognormal")
 		tail     = flag.Float64("tail", 0, "heavytail Pareto tail index in (1,5] (0 = default)")
 		burst    = flag.Float64("burst-ratio", 0, "onoff peak/mean load ratio >= 1 (0 = default)")
-		wlReplay = flag.String("replay-ndjson", "", "NDJSON workload trace (with -workload replay)")
+		replay   = flag.String("replay", "", "trafficgen trace to replay (with -workload replay)")
+		reScale  = flag.Float64("replay-scale", 0, "replay time-compression (0 = rescale to -load, 1 = as recorded)")
 		refresh  = flag.Bool("refresh", false, "enable the REFsb refresh scheduler")
 		jsonOut  = flag.Bool("json", false, "write the report as JSON to stdout (the serving daemon's wire format) instead of the human summary")
 
@@ -66,16 +67,13 @@ func main() {
 	}
 	wf := cli.WorkloadFlags{
 		Kind: *wl, FlowDist: *flowDist, TailAlpha: *tail,
-		BurstRatio: *burst, ReplayPath: *wlReplay,
+		BurstRatio: *burst, ReplayPath: *replay, ReplayScale: *reScale,
 	}
 	cli.Check(
 		cli.ValidateSample("-trace-sample", *traceSample),
 		cli.ValidateCount("-stacks", *stacks),
 		wf.Validate(),
 	)
-	if *replay != "" && wf.Kind != workload.KindUniform {
-		cli.Exit(cli.Outcome{UsageErr: fmt.Errorf("-replay (binary trace) and -workload %s are mutually exclusive", wf.Kind)})
-	}
 
 	// The daemon's "sim" jobs resolve their switch and traffic through
 	// this same spec, which is what keeps `spssim -json` byte-identical
@@ -120,21 +118,7 @@ func main() {
 	}
 
 	var stream traffic.Stream
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-		defer f.Close()
-		ts, err := traffic.NewTraceStream(f)
-		if err != nil {
-			cli.Exit(cli.Outcome{RunErr: err})
-		}
-		if ts.Header().N != cfg.PFI.N {
-			cli.Exit(cli.Outcome{RunErr: fmt.Errorf("trace has %d ports, switch has %d", ts.Header().N, cfg.PFI.N)})
-		}
-		stream = ts
-	} else if wf.Kind != workload.KindUniform {
+	if wf.Kind != workload.KindUniform {
 		m, err := cli.Matrix(*matrix, cfg.PFI.N, *load)
 		if err != nil {
 			cli.Exit(cli.Outcome{UsageErr: err})
@@ -146,6 +130,9 @@ func main() {
 		wcfg := wf.Config()
 		wcfg.Sizes = dist
 		if stream, err = workload.New(wcfg, m, cfg.PortRate, sim.NewRNG(*seed)); err != nil {
+			if wf.Kind == workload.KindReplay {
+				cli.Exit(cli.Outcome{RunErr: err}) // a bad trace is a runtime failure
+			}
 			cli.Exit(cli.Outcome{UsageErr: err})
 		}
 	} else {
@@ -154,11 +141,14 @@ func main() {
 		}
 	}
 	rep, err := sw.Run(stream, hz)
+	if ts, ok := stream.(*traffic.TraceStream); ok {
+		ts.Close()
+		if err == nil && ts.Err() != nil {
+			err = fmt.Errorf("trace read error: %w", ts.Err())
+		}
+	}
 	if err != nil {
 		cli.Exit(cli.Outcome{RunErr: err})
-	}
-	if ts, ok := stream.(*traffic.TraceStream); ok && ts.Err() != nil {
-		cli.Exit(cli.Outcome{RunErr: fmt.Errorf("trace read error: %w", ts.Err())})
 	}
 
 	if reg != nil {

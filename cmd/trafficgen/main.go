@@ -10,8 +10,12 @@
 //
 //	trafficgen -out ht.trace -workload heavytail -tail 1.2
 //	trafficgen -out burst.trace -workload onoff -burst-ratio 8
-//	trafficgen -out day.ndjson -ndjson -workload diurnal
-//	trafficgen -out re.trace -workload replay -replay day.ndjson
+//	trafficgen -out day.trace -workload diurnal
+//
+// Rescale a recorded trace to another load (the replay workload reads
+// a trace this tool wrote; -replay-scale 0 rescales to -load):
+//
+//	trafficgen -out re.trace -load 0.5 -workload replay -replay day.trace
 //
 // Inspect:
 //
@@ -44,9 +48,8 @@ func main() {
 		flowDist = flag.String("flow-dist", "", "heavytail flow-size distribution: pareto|lognormal")
 		tail     = flag.Float64("tail", 0, "heavytail Pareto tail index in (1,5] (0 = default)")
 		burst    = flag.Float64("burst-ratio", 0, "onoff peak/mean load ratio >= 1 (0 = default)")
-		replay   = flag.String("replay", "", "NDJSON trace to replay (with -workload replay)")
-		reScale  = flag.Float64("replay-scale", 0, "replay time-compression (0 = rescale to -load)")
-		ndjson   = flag.Bool("ndjson", false, "write the portable NDJSON record format instead of the binary trace")
+		replay   = flag.String("replay", "", "trace to replay (with -workload replay)")
+		reScale  = flag.Float64("replay-scale", 0, "replay time-compression (0 = rescale to -load, 1 = as recorded)")
 		horizon  = flag.String("horizon", "100us", "trace duration")
 		seed     = flag.Uint64("seed", 1, "random seed")
 	)
@@ -65,7 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *out != "":
-		if err := generate(*out, *ports, *rate, *load, *matrix, *sizes, *arrival, *horizon, *seed, wf, *ndjson); err != nil {
+		if err := generate(*out, *ports, *rate, *load, *matrix, *sizes, *arrival, *horizon, *seed, wf); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -76,7 +79,7 @@ func main() {
 }
 
 func generate(path string, ports int, rateGbps, load float64, matrix, sizes, arrival, horizon string,
-	seed uint64, wf cli.WorkloadFlags, ndjson bool) error {
+	seed uint64, wf cli.WorkloadFlags) error {
 	hz, err := cli.Duration("-horizon", horizon)
 	if err != nil {
 		return err
@@ -105,21 +108,21 @@ func generate(path string, ports int, rateGbps, load float64, matrix, sizes, arr
 		if stream, err = workload.New(wcfg, m, lineRate, sim.NewRNG(seed)); err != nil {
 			return err
 		}
+		if ts, ok := stream.(*traffic.TraceStream); ok {
+			defer ts.Close()
+		}
 	}
 
+	if out, err := os.Stat(path); err == nil && wf.ReplayPath != "" {
+		if in, err := os.Stat(wf.ReplayPath); err == nil && os.SameFile(in, out) {
+			return fmt.Errorf("-out %s would truncate the trace it replays", path)
+		}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if ndjson {
-		recs := workload.Capture(stream, hz)
-		if err := workload.WriteRecords(f, recs); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d records over %v to %s\n", len(recs), hz, path)
-		return nil
-	}
 	tw, err := traffic.NewTraceWriter(f, ports)
 	if err != nil {
 		return err

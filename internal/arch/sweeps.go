@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -34,7 +35,7 @@ type SweepConfig struct {
 	Load         float64 `json:"load,omitempty"`          // offered load per input in (0,1]
 	TailAlpha    float64 `json:"tail_alpha,omitempty"`    // heavytail Pareto tail index
 	BurstRatio   float64 `json:"burst_ratio,omitempty"`   // onoff peak/mean load
-	ReplayPath   string  `json:"replay_path,omitempty"`   // external NDJSON trace; empty synthesizes one
+	ReplayPath   string  `json:"-"`                       // external trace file (spsarch -replay only); empty synthesizes one
 	CrosspointKB int64   `json:"crosspoint_kb,omitempty"` // CQ per-crosspoint buffer
 
 	HorizonPs sim.Time `json:"horizon_ps,omitempty"`
@@ -164,24 +165,41 @@ func (c SweepConfig) workloadSeed(wIdx int) uint64 {
 
 // buildStream constructs the packet stream of one workload column.
 // When the replay column has no external trace, it synthesizes one by
-// capturing the heavy-tailed generator and replaying it rescaled —
-// the full NDJSON ingestion path minus the file.
+// capturing the heavy-tailed generator, flows anonymized, into an
+// in-memory trace and replaying it rescaled — the full trace ingestion
+// path minus the file.
 func (c SweepConfig) buildStream(wIdx int) (traffic.Stream, *traffic.Matrix, error) {
 	kind := c.Workloads[wIdx]
 	m := traffic.Uniform(c.N, c.Load)
 	rng := sim.NewRNG(c.workloadSeed(wIdx))
 	if kind == workload.KindReplay && c.ReplayPath == "" {
-		htCfg := c.workloadConfig(workload.KindHeavyTail)
-		ht, err := workload.New(htCfg, m, c.portRate(), rng)
+		ht, err := workload.New(c.workloadConfig(workload.KindHeavyTail), m, c.portRate(), rng)
 		if err != nil {
 			return nil, nil, err
 		}
-		recs := workload.Capture(ht, c.HorizonPs)
-		if len(recs) == 0 {
-			return nil, nil, fmt.Errorf("arch: synthesized replay trace is empty")
+		var trace bytes.Buffer
+		tw, err := traffic.NewTraceWriter(&trace, c.N)
+		if err != nil {
+			return nil, nil, err
 		}
-		scale := workload.LoadScale(recs, c.portRate(), c.Load)
-		return workload.NewReplay(recs, scale), m, nil
+		for {
+			p, at := ht.Next()
+			if p == nil || at > c.HorizonPs {
+				break
+			}
+			p.Flow = workload.AnonymizeFlow(p.Flow, p.Input, p.Output)
+			if err := tw.Add(p); err != nil {
+				return nil, nil, err
+			}
+		}
+		if _, err := tw.Finish(); err != nil {
+			return nil, nil, err
+		}
+		ts, err := workload.ReplayStream(bytes.NewReader(trace.Bytes()), c.N, c.portRate(), c.Load, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ts, m, nil
 	}
 	s, err := workload.New(c.workloadConfig(kind), m, c.portRate(), rng)
 	if err != nil {
@@ -242,7 +260,14 @@ func (c SweepConfig) RunPoint(ctx context.Context, k int) (SweepPoint, *Report, 
 	if err != nil {
 		return pt, nil, err
 	}
+	ts, _ := stream.(*traffic.TraceStream)
+	if ts != nil {
+		defer ts.Close() // the run may stop before the trace ends
+	}
 	cell, vs, err := c.runCell(arch, stream, m)
+	if err == nil && ts != nil {
+		err = ts.Err()
+	}
 	if err != nil {
 		return pt, nil, err
 	}

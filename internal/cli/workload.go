@@ -15,7 +15,7 @@ type WorkloadFlags struct {
 	FlowDist    string  // -flow-dist: pareto|lognormal (heavytail)
 	TailAlpha   float64 // -tail: Pareto tail index
 	BurstRatio  float64 // -burst-ratio: on/off peak over mean load
-	ReplayPath  string  // -replay: NDJSON trace path
+	ReplayPath  string  // -replay: trace file path (cmd/trafficgen's binary format)
 	ReplayScale float64 // -replay-scale: time-compression factor (0 = rescale to -load)
 }
 
@@ -43,7 +43,7 @@ func ValidateBurstRatio(r float64) error {
 // silently ignored — almost certainly a mistake.
 func ValidateReplay(kind, path string) error {
 	if kind == workload.KindReplay && path == "" {
-		return fmt.Errorf("-workload replay needs -replay <trace.ndjson>")
+		return fmt.Errorf("-workload replay needs -replay <file.trace>")
 	}
 	if kind != workload.KindReplay && path != "" {
 		return fmt.Errorf("-replay is only meaningful with -workload replay (got -workload %s)", kind)

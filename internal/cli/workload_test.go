@@ -18,8 +18,8 @@ func TestWorkloadFlagsValidate(t *testing.T) {
 		{"heavytail tuned", WorkloadFlags{Kind: "heavytail", FlowDist: "lognormal", TailAlpha: 1.6}, ""},
 		{"onoff tuned", WorkloadFlags{Kind: "onoff", BurstRatio: 8}, ""},
 		{"diurnal", WorkloadFlags{Kind: "diurnal"}, ""},
-		{"replay with path", WorkloadFlags{Kind: "replay", ReplayPath: "t.ndjson"}, ""},
-		{"replay scaled", WorkloadFlags{Kind: "replay", ReplayPath: "t.ndjson", ReplayScale: 0.5}, ""},
+		{"replay with path", WorkloadFlags{Kind: "replay", ReplayPath: "t.trace"}, ""},
+		{"replay scaled", WorkloadFlags{Kind: "replay", ReplayPath: "t.trace", ReplayScale: 0.5}, ""},
 
 		{"unknown kind", WorkloadFlags{Kind: "fractal"}, "unknown kind"},
 		{"empty kind", WorkloadFlags{}, "unknown kind"},
@@ -28,8 +28,8 @@ func TestWorkloadFlagsValidate(t *testing.T) {
 		{"tail infinite mean", WorkloadFlags{Kind: "heavytail", TailAlpha: 1}, "-tail"},
 		{"burst below one", WorkloadFlags{Kind: "onoff", BurstRatio: 0.5}, "-burst-ratio"},
 		{"replay without path", WorkloadFlags{Kind: "replay"}, "needs -replay"},
-		{"path without replay", WorkloadFlags{Kind: "uniform", ReplayPath: "t.ndjson"}, "only meaningful"},
-		{"negative scale", WorkloadFlags{Kind: "replay", ReplayPath: "t.ndjson", ReplayScale: -1}, "-replay-scale"},
+		{"path without replay", WorkloadFlags{Kind: "uniform", ReplayPath: "t.trace"}, "only meaningful"},
+		{"negative scale", WorkloadFlags{Kind: "replay", ReplayPath: "t.trace", ReplayScale: -1}, "-replay-scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -420,6 +421,26 @@ func TestFleetRejectsOversizedBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit after the oversized body: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestFleetRejectsReplayPath checks the coordinator refuses, by name,
+// an arch spec naming a trace file: each backend would otherwise read
+// a file of its own machine.
+func TestFleetRejectsReplayPath(t *testing.T) {
+	c := newFleet(t, 1, nil)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	spec := `{"kind":"arch","arch":{"workloads":["replay"],"replay_path":"/etc/hostname"}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	decErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decErr != nil || !strings.Contains(apiErr.Error, `unknown field "replay_path"`) {
+		t.Fatalf("HTTP %d, error %q (%v), want 400 naming the unknown field", resp.StatusCode, apiErr.Error, decErr)
 	}
 }
 

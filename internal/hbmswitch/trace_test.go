@@ -2,10 +2,13 @@ package hbmswitch
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pbrouter/internal/sim"
 	"pbrouter/internal/traffic"
+	"pbrouter/internal/workload"
 )
 
 func TestTraceReplayMatchesLiveRun(t *testing.T) {
@@ -58,7 +61,7 @@ func TestTraceReplayMatchesLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.NewTraceStream(bytes.NewReader(traceBytes))
+	ts, err := traffic.NewTraceStream(bytes.NewReader(traceBytes), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,5 +83,38 @@ func TestTraceReplayMatchesLiveRun(t *testing.T) {
 	}
 	if len(replay.Errors) > 0 {
 		t.Fatalf("replay errors: %v", replay.Errors)
+	}
+
+	// The replay workload reads the same trace from a file in two
+	// passes; at scale 1 it must reproduce the live run too.
+	path := filepath.Join(t.TempDir(), "live.trace")
+	if err := os.WriteFile(path, traceBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.New(workload.Config{Kind: workload.KindReplay, ReplayPath: path, ReplayScale: 1},
+		traffic.Uniform(16, 0.7), cfg.PortRate, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swWorkload, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaWorkload, err := swWorkload.Run(wl, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := wl.(*traffic.TraceStream); ts.Err() != nil || ts.Close() != nil {
+		t.Fatalf("replay workload stream: %v", ts.Err())
+	}
+	var liveJSON, wlJSON bytes.Buffer
+	if err := live.WriteJSON(&liveJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaWorkload.WriteJSON(&wlJSON); err != nil {
+		t.Fatal(err)
+	}
+	if liveJSON.String() != wlJSON.String() {
+		t.Fatalf("replay workload diverged:\nlive:     %s\nworkload: %s", liveJSON.String(), wlJSON.String())
 	}
 }

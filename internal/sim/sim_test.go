@@ -68,6 +68,8 @@ func TestTimeString(t *testing.T) {
 		{51200 * 1000, "51.200us"},
 		{Millisecond * 51, "51.000ms"},
 		{2 * Second, "2.000s"},
+		{-5, "-5ps"},
+		{math.MinInt64, "-9223372.037s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -37,6 +37,8 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64: // -t overflows back to t
+		return fmt.Sprintf("%.3fs", t.Seconds())
 	case t < 0:
 		return fmt.Sprintf("-%v", -t)
 	case t < 10*Nanosecond:

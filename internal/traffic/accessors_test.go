@@ -90,7 +90,7 @@ func TestTraceStreamReplay(t *testing.T) {
 	tw.Add(&packet.Packet{Arrival: 100, Size: 64, Input: 0, Output: 1})
 	tw.Add(&packet.Packet{Arrival: 200, Size: 128, Input: 1, Output: 0})
 	tw.Finish()
-	ts, err := NewTraceStream(&buf)
+	ts, err := NewTraceStream(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTraceStreamReplay(t *testing.T) {
 	tw2, _ := NewTraceWriter(&bad, 2)
 	tw2.Finish()
 	raw := append(bad.Bytes(), make([]byte, 16)...) // truncated record
-	ts2, err := NewTraceStream(bytes.NewReader(raw))
+	ts2, err := NewTraceStream(bytes.NewReader(raw), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,52 @@ func TestTraceStreamReplay(t *testing.T) {
 	}
 	if ts2.Err() == nil {
 		t.Fatal("truncation not reported")
+	}
+}
+
+// closeCounter is a trace source that counts its Close calls.
+type closeCounter struct {
+	*bytes.Reader
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
+
+// TestTraceStreamScaleAndClose checks the rescaled time axis, anchored
+// at the first record, and that the stream closes its source exactly
+// once: at the end of the trace, or on Close before it.
+func TestTraceStreamScaleAndClose(t *testing.T) {
+	var buf bytes.Buffer
+	tw, _ := NewTraceWriter(&buf, 2)
+	for _, at := range []sim.Time{100, 200, 400} {
+		tw.Add(&packet.Packet{Arrival: at, Size: 64, Input: 0, Output: 1})
+	}
+	tw.Finish()
+	src := &closeCounter{Reader: bytes.NewReader(buf.Bytes())}
+	ts, err := NewTraceStream(src, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []sim.Time{100, 150, 250} {
+		p, at := ts.Next()
+		if p == nil || at != want || p.Arrival != want || p.ID != uint64(i+1) || p.Seq != int64(i) {
+			t.Fatalf("packet %d: %+v at %v, want arrival %v", i, p, at, want)
+		}
+	}
+	if p, _ := ts.Next(); p != nil || ts.Err() != nil || src.closes != 1 {
+		t.Fatalf("end of trace: packet %v, err %v, %d closes", p, ts.Err(), src.closes)
+	}
+	ts.Close()
+	if src.closes != 1 {
+		t.Fatalf("Close after the end closed the source again (%d closes)", src.closes)
+	}
+
+	early := &closeCounter{Reader: bytes.NewReader(buf.Bytes())}
+	ts, _ = NewTraceStream(early, 1)
+	ts.Next()
+	ts.Close()
+	if p, at := ts.Next(); p != nil || at != sim.Forever || ts.Err() != nil || early.closes != 1 {
+		t.Fatalf("after Close: packet %v at %v, err %v, %d closes", p, at, ts.Err(), early.closes)
 	}
 }
 

@@ -88,6 +88,7 @@ type TraceReader struct {
 	r    *bufio.Reader
 	hdr  TraceHeader
 	id   uint64
+	last sim.Time
 	seqs map[uint64]int64
 }
 
@@ -115,7 +116,10 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 func (tr *TraceReader) Header() TraceHeader { return tr.hdr }
 
 // Next returns the next packet, or (nil, io.EOF semantics) at end:
-// ok=false with no error means a clean end of trace.
+// ok=false with no error means a clean end of trace. A record that
+// the simulators cannot take — a negative or decreasing arrival, a
+// size outside [1, packet.MaxSize], a port at or above the header's
+// N — is an error naming its record number.
 func (tr *TraceReader) Next() (p *packet.Packet, ok bool, err error) {
 	var rec [32]byte
 	if _, err := io.ReadFull(tr.r, rec[:]); err != nil {
@@ -139,8 +143,17 @@ func (tr *TraceReader) Next() (p *packet.Packet, ok bool, err error) {
 			Proto:   rec[28],
 		},
 	}
-	if p.Size <= 0 {
-		return nil, false, fmt.Errorf("traffic: trace packet %d has size %d", tr.id, p.Size)
+	if p.Arrival < 0 {
+		return nil, false, fmt.Errorf("traffic: trace packet %d has negative arrival %d ps", tr.id, int64(p.Arrival))
+	}
+	if p.Arrival < tr.last {
+		return nil, false, fmt.Errorf("traffic: trace packet %d arrives at %d ps, before %d ps",
+			tr.id, int64(p.Arrival), int64(tr.last))
+	}
+	tr.last = p.Arrival
+	if p.Size <= 0 || p.Size > packet.MaxSize {
+		return nil, false, fmt.Errorf("traffic: trace packet %d has size %d outside [1, %d]",
+			tr.id, p.Size, packet.MaxSize)
 	}
 	if p.Input >= tr.hdr.N || p.Output >= tr.hdr.N {
 		return nil, false, fmt.Errorf("traffic: trace packet %d has ports (%d,%d) outside 0..%d",
@@ -159,20 +172,31 @@ type Stream interface {
 	Next() (*packet.Packet, sim.Time)
 }
 
-// TraceStream adapts a TraceReader to the Stream interface. Read
-// errors terminate the stream; check Err after the run.
+// TraceStream adapts a TraceReader to the Stream interface, with the
+// time axis multiplied by a scale anchored at the first record:
+// scale < 1 compresses time (raising the rate), > 1 stretches it.
+// Read errors terminate the stream; check Err after the run. The
+// stream closes its source when the trace ends, or on Close.
 type TraceStream struct {
-	tr  *TraceReader
-	err error
+	tr    *TraceReader
+	src   io.Reader
+	scale float64
+	base  sim.Time // first record's arrival: scaling is anchored there
+	done  bool
+	err   error
 }
 
-// NewTraceStream opens a trace for replay.
-func NewTraceStream(r io.Reader) (*TraceStream, error) {
+// NewTraceStream opens a trace for replay at the given time scale; a
+// non-positive scale means 1.
+func NewTraceStream(r io.Reader, scale float64) (*TraceStream, error) {
 	tr, err := NewTraceReader(r)
 	if err != nil {
 		return nil, err
 	}
-	return &TraceStream{tr: tr}, nil
+	if scale <= 0 {
+		scale = 1
+	}
+	return &TraceStream{tr: tr, src: r, scale: scale}, nil
 }
 
 // Header exposes the trace metadata.
@@ -180,18 +204,35 @@ func (ts *TraceStream) Header() TraceHeader { return ts.tr.Header() }
 
 // Next implements Stream.
 func (ts *TraceStream) Next() (*packet.Packet, sim.Time) {
-	if ts.err != nil {
+	if ts.done {
 		return nil, sim.Forever
 	}
 	p, ok, err := ts.tr.Next()
-	if err != nil {
+	if !ok {
 		ts.err = err
+		ts.Close()
 		return nil, sim.Forever
 	}
-	if !ok {
-		return nil, sim.Forever
+	if ts.scale != 1 {
+		if ts.tr.id == 1 {
+			ts.base = p.Arrival
+		}
+		p.Arrival = ts.base + sim.Time(float64(p.Arrival-ts.base)*ts.scale)
 	}
 	return p, p.Arrival
+}
+
+// Close ends the stream and closes its source if that is an
+// io.Closer. It is safe to call more than once.
+func (ts *TraceStream) Close() error {
+	if ts.done {
+		return nil
+	}
+	ts.done = true
+	if c, ok := ts.src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Err returns the first read error, if any.

@@ -2,7 +2,7 @@
 // cross-architecture experiments: heavy-tailed flow sizes (bounded
 // Pareto or lognormal, with a configurable tail index), ON/OFF bursty
 // sources with exponential or Pareto on/off durations, diurnal load
-// modulation over the simulation horizon, and NDJSON trace replay with
+// modulation over the simulation horizon, and binary trace replay with
 // rate rescaling. Where package traffic models packet-granular arrival
 // processes, this package models the *flow* structure of internet
 // traffic — elephants and mice, busy periods, time-of-day swings —
@@ -43,8 +43,8 @@ const (
 	// day-curve over the horizon: load swings ±Amplitude around the
 	// mean with the configured period.
 	KindDiurnal = "diurnal"
-	// KindReplay replays an NDJSON trace (ReplayPath), rescaling its
-	// time axis to hit the target load.
+	// KindReplay replays a binary trace (ReplayPath, written by
+	// cmd/trafficgen), rescaling its time axis to hit the target load.
 	KindReplay = "replay"
 )
 
@@ -188,7 +188,10 @@ func (c Config) flowDist() FlowDist {
 // source per input (forked RNG streams in input order), merged in
 // global arrival order with per-(input,output) sequence numbers
 // assigned by the merge — the same contract traffic.Mux provides, so
-// every simulator and baseline can consume the stream unchanged.
+// every simulator and baseline can consume the stream unchanged. The
+// replay kind returns a *traffic.TraceStream, which holds its trace
+// file open until the trace ends; a run that stops earlier must Close
+// it.
 func New(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) (traffic.Stream, error) {
 	cfg.Normalize()
 	if err := cfg.Check(); err != nil {
@@ -239,16 +242,12 @@ func New(cfg Config, m *traffic.Matrix, lineRate sim.Rate, rng *sim.RNG) (traffi
 		if err != nil {
 			return nil, fmt.Errorf("workload: replay: %w", err)
 		}
-		defer f.Close()
-		recs, err := readRecords(f, m.N)
+		ts, err := ReplayStream(f, m.N, lineRate, meanLoad(m), cfg.ReplayScale)
 		if err != nil {
+			f.Close()
 			return nil, err
 		}
-		scale := cfg.ReplayScale
-		if scale == 0 {
-			scale = LoadScale(recs, lineRate, meanLoad(m))
-		}
-		return NewReplay(recs, scale), nil
+		return ts, nil
 	default:
 		return nil, fmt.Errorf("workload: unknown kind %q", cfg.Kind)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -204,38 +205,65 @@ func TestDiurnalModulation(t *testing.T) {
 	}
 }
 
-// TestReplayRoundTrip captures a generated stream to NDJSON, reads it
-// back, and replays it: the replay must reproduce the same
-// (time, input, output, size) sequence at scale 1, and rescaling must
-// compress the time axis.
-func TestReplayRoundTrip(t *testing.T) {
-	horizon := 20 * sim.Microsecond
-	recs := Capture(buildStream(t, KindHeavyTail, 3), horizon)
-	if len(recs) == 0 {
-		t.Fatal("capture produced no records")
-	}
-	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRecords(&buf)
+// writeTrace writes s up to the horizon as an n-port trace file and
+// returns its path and the packets written.
+func writeTrace(t *testing.T, s traffic.Stream, n int, horizon sim.Time) (string, []packet.Packet) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "w.trace")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(recs) {
-		t.Fatalf("round trip lost records: %d -> %d", len(recs), len(back))
+	defer f.Close()
+	tw, err := traffic.NewTraceWriter(f, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	replay := NewReplay(back, 1)
-	for i := range back {
+	var ps []packet.Packet
+	for {
+		p, at := s.Next()
+		if p == nil || at > horizon {
+			break
+		}
+		if err := tw.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, *p)
+	}
+	if _, err := tw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) == 0 {
+		t.Fatal("trace is empty")
+	}
+	return path, ps
+}
+
+// replayFile builds the replay workload over path for an 8-port
+// geometry at load 0.7.
+func replayFile(path string, scale float64) (traffic.Stream, error) {
+	cfg := Config{Kind: KindReplay, ReplayPath: path, ReplayScale: scale}
+	return New(cfg, traffic.Uniform(8, 0.7), testRate, sim.NewRNG(1))
+}
+
+// TestReplayRoundTrip writes a generated stream to a trace file and
+// replays it through New: at scale 1 the replay must reproduce every
+// packet, 5-tuple included, and a half scale must compress the time
+// axis.
+func TestReplayRoundTrip(t *testing.T) {
+	path, recs := writeTrace(t, buildStream(t, KindHeavyTail, 3), 8, 20*sim.Microsecond)
+	replay, err := replayFile(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range recs {
 		p, at := replay.Next()
 		if p == nil {
-			t.Fatalf("replay ended early at %d/%d", i, len(back))
+			t.Fatalf("replay ended early at %d/%d", i, len(recs))
 		}
-		if int64(at) != recs[i].TimePs || p.Input != recs[i].Input ||
-			p.Output != recs[i].Output || p.Size != recs[i].Size {
-			t.Fatalf("record %d diverged: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-				i, at, p.Input, p.Output, p.Size,
-				recs[i].TimePs, recs[i].Input, recs[i].Output, recs[i].Size)
+		if at != want.Arrival || p.Arrival != want.Arrival || p.Flow != want.Flow ||
+			p.Input != want.Input || p.Output != want.Output || p.Size != want.Size || p.Seq != want.Seq {
+			t.Fatalf("packet %d diverged:\ngot  %+v at %d\nwant %+v", i, *p, at, want)
 		}
 	}
 	if p, _ := replay.Next(); p != nil {
@@ -243,7 +271,10 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 
 	// Rescaled replay: half-scale halves the span past the first record.
-	fast := NewReplay(back, 0.5)
+	fast, err := replayFile(path, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lastAt sim.Time
 	for {
 		p, at := fast.Next()
@@ -252,83 +283,154 @@ func TestReplayRoundTrip(t *testing.T) {
 		}
 		lastAt = at
 	}
-	span := recs[len(recs)-1].TimePs - recs[0].TimePs
-	wantLast := recs[0].TimePs + span/2
-	if math.Abs(float64(int64(lastAt)-wantLast)) > 2 {
+	first, last := recs[0].Arrival, recs[len(recs)-1].Arrival
+	wantLast := first + (last-first)/2
+	if math.Abs(float64(lastAt-wantLast)) > 2 {
 		t.Fatalf("half-scale replay ends at %d, want ~%d", lastAt, wantLast)
 	}
 }
 
-// TestLoadScale checks the derived scale hits the target load on the
-// busiest input.
+// TestLoadScale checks the scale derived from a trace's scan stats
+// hits the target load on the busiest input, and that New derives the
+// same scale from the matrix load when ReplayScale is 0.
 func TestLoadScale(t *testing.T) {
-	recs := Capture(buildStream(t, KindUniform, 5), 100*sim.Microsecond)
-	scale := LoadScale(recs, testRate, 0.35)
+	path, _ := writeTrace(t, buildStream(t, KindUniform, 5), 8, 100*sim.Microsecond)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := traffic.ScanTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := LoadScale(st, testRate, 0.35)
 	// Replay at that scale, then re-measure the busiest input's load.
-	replay := NewReplay(recs, scale)
-	perInput := map[int]int64{}
-	var first, last sim.Time
-	n := 0
-	for {
-		p, at := replay.Next()
-		if p == nil {
+	var rescaled bytes.Buffer
+	tw, err := traffic.NewTraceWriter(&rescaled, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := traffic.NewTraceStream(bytes.NewReader(raw), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, _ := ts.Next(); p != nil; p, _ = ts.Next() {
+		if err := tw.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tw.Finish()
+	got, err := traffic.ScanTrace(&rescaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if busiest := float64(got.MeanRatePerInput()) / float64(testRate); busiest < 0.3 || busiest > 0.42 {
+		t.Fatalf("rescaled busiest-input load %.3f, want ~0.35", busiest)
+	}
+	if again := LoadScale(got, testRate, 0.35); math.Abs(again-1) > 1e-3 {
+		t.Fatalf("rescaled trace has scale %g, want ~1", again)
+	}
+
+	// New with ReplayScale 0 rescales to the matrix's load.
+	derived, err := New(Config{Kind: KindReplay, ReplayPath: path}, traffic.Uniform(8, 0.35),
+		testRate, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2, err := traffic.NewTraceStream(bytes.NewReader(raw), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		p, at := derived.Next()
+		q, qat := ts2.Next()
+		if p == nil || q == nil {
+			if p != q {
+				t.Fatalf("derived-scale replay length differs at packet %d", i)
+			}
 			break
 		}
-		if n == 0 {
-			first = at
+		if *p != *q || at != qat {
+			t.Fatalf("packet %d: derived scale gives %+v, explicit %+v", i, *p, *q)
 		}
-		last = at
-		n++
-		perInput[p.Input] += int64(p.Size)
-	}
-	var busiest float64
-	for _, bytes := range perInput {
-		if l := float64(bytes*8) / sim.BitsIn(last-first, testRate); l > busiest {
-			busiest = l
-		}
-	}
-	if busiest < 0.3 || busiest > 0.42 {
-		t.Fatalf("rescaled busiest-input load %.3f, want ~0.35", busiest)
 	}
 }
 
-// TestReplayValidation checks the NDJSON reader rejects malformed
-// traces.
+// traceRec is one raw trace record, free of TraceWriter's checks so a
+// test can write what a foreign producer might.
+type traceRec struct {
+	at      uint64
+	size    uint32
+	in, out uint16
+}
+
+// rawTrace encodes an n-port trace file holding recs.
+func rawTrace(t *testing.T, n int, recs ...traceRec) string {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := traffic.NewTraceWriter(&buf, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Finish()
+	for _, r := range recs {
+		var b [32]byte
+		binary.LittleEndian.PutUint64(b[0:], r.at)
+		binary.LittleEndian.PutUint32(b[8:], r.size)
+		binary.LittleEndian.PutUint16(b[12:], r.in)
+		binary.LittleEndian.PutUint16(b[14:], r.out)
+		buf.Write(b[:])
+	}
+	path := filepath.Join(t.TempDir(), "raw.trace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReplayValidation checks the replay workload refuses malformed
+// traces before the run, naming the bad record where there is one.
 func TestReplayValidation(t *testing.T) {
-	cases := []struct{ name, trace string }{
-		{"empty", ""},
-		{"garbage", "not json\n"},
-		{"negative-time", `{"t_ps":-1,"in":0,"out":0,"size":64}` + "\n"},
-		{"out-of-order", `{"t_ps":10,"in":0,"out":0,"size":64}` + "\n" + `{"t_ps":5,"in":0,"out":0,"size":64}` + "\n"},
-		{"bad-size", `{"t_ps":1,"in":0,"out":0,"size":0}` + "\n"},
-		{"negative-port", `{"t_ps":1,"in":-1,"out":0,"size":64}` + "\n"},
+	ok := traceRec{at: 10, size: 64, in: 0, out: 1}
+	cases := []struct {
+		name, path, want string
+	}{
+		{"empty", rawTrace(t, 8), "empty"},
+		{"garbage", func() string {
+			path := filepath.Join(t.TempDir(), "garbage.trace")
+			os.WriteFile(path, []byte("not a trace at all"), 0o644)
+			return path
+		}(), "not a pbrouter trace"},
+		{"header-n-mismatch", rawTrace(t, 4, ok), "4 ports"},
+		{"negative-time", rawTrace(t, 8, ok, traceRec{at: 1 << 63, size: 64}), "packet 2"},
+		{"out-of-order", rawTrace(t, 8, ok, traceRec{at: 5, size: 64}), "packet 2"},
+		{"bad-size", rawTrace(t, 8, ok, traceRec{at: 20, size: 0}), "packet 2"},
+		{"oversize", rawTrace(t, 8, ok, traceRec{at: 20, size: packet.MaxSize + 1}), "packet 2"},
+		// A producer writing port -1 leaves 0xffff on disk.
+		{"negative-port", rawTrace(t, 8, ok, traceRec{at: 20, size: 64, in: 0xffff}), "packet 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadRecords(bytes.NewReader([]byte(tc.trace))); err == nil {
-				t.Fatal("malformed trace accepted")
+			_, err := replayFile(tc.path, 0)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
 }
 
 // TestReplayRejectsPortsBeyondGeometry checks New refuses a replay
-// record whose port is not on the switch, naming the line, instead of
-// handing the simulator an out-of-range port.
+// record whose port is not on the switch, naming the record, instead
+// of handing the simulator an out-of-range port.
 func TestReplayRejectsPortsBeyondGeometry(t *testing.T) {
-	for _, rec := range []string{
-		`{"t_ps":5,"in":99,"out":3,"size":64}`,
-		`{"t_ps":5,"in":3,"out":16,"size":64}`,
+	first := traceRec{at: 1, size: 64, in: 0, out: 7}
+	for _, bad := range []traceRec{
+		{at: 5, size: 64, in: 99, out: 3},
+		{at: 5, size: 64, in: 3, out: 8},
 	} {
-		path := filepath.Join(t.TempDir(), "trace.ndjson")
-		trace := `{"t_ps":1,"in":0,"out":15,"size":64}` + "\n\n" + rec + "\n"
-		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Kind: KindReplay, ReplayPath: path}
-		_, err := New(cfg, traffic.Uniform(16, 0.5), testRate, sim.NewRNG(1))
-		if err == nil || !strings.Contains(err.Error(), "line 3") {
-			t.Fatalf("record %s on a 16-port switch: got error %v, want one naming line 3", rec, err)
+		_, err := replayFile(rawTrace(t, 8, first, bad), 0)
+		if err == nil || !strings.Contains(err.Error(), "packet 2") {
+			t.Fatalf("record %+v on an 8-port switch: got error %v, want one naming packet 2", bad, err)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package router
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"pbrouter/internal/packet"
@@ -59,5 +61,40 @@ func TestReplayTraceViaFacade(t *testing.T) {
 	raw[16+12] = 99 // the record's input port
 	if _, err := r.ReplayTrace(bytes.NewReader(raw), Microsecond, nil); err == nil {
 		t.Fatal("trace record with input port 99 accepted")
+	}
+}
+
+// TestReplayTraceRejectsBadRecords checks that a record the switch
+// cannot take ends the replay with an error naming it — no panic
+// inside the scheduler and no oversized packet in the pipeline.
+func TestReplayTraceRejectsBadRecords(t *testing.T) {
+	r, err := New(Reference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		patch func(rec []byte) // the trace's second record
+		want  string
+	}{
+		{"decreasing-arrival", func(rec []byte) { binary.LittleEndian.PutUint64(rec, 10) }, "before"},
+		{"arrival-bit63", func(rec []byte) { binary.LittleEndian.PutUint64(rec, 1<<63) }, "negative arrival"},
+		{"oversize", func(rec []byte) { binary.LittleEndian.PutUint32(rec[8:], packet.MaxSize+1) }, "size"},
+		{"port-beyond-n", func(rec []byte) { binary.LittleEndian.PutUint16(rec[14:], 16) }, "ports"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			tw, _ := traffic.NewTraceWriter(&buf, 16)
+			tw.Add(&packet.Packet{Arrival: sim.Nanosecond, Size: 64, Input: 1, Output: 2})
+			tw.Add(&packet.Packet{Arrival: 2 * sim.Nanosecond, Size: 64, Input: 3, Output: 4})
+			tw.Finish()
+			raw := buf.Bytes()
+			tc.patch(raw[16+32:])
+			_, err := r.ReplayTrace(bytes.NewReader(raw), Microsecond, nil)
+			if err == nil || !strings.Contains(err.Error(), "packet 2") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one naming packet 2 and %q", err, tc.want)
+			}
+		})
 	}
 }

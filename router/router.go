@@ -185,7 +185,7 @@ func (r *Router) ReplayTrace(trace io.Reader, horizon Duration, mutate func(*Swi
 	if err != nil {
 		return nil, err
 	}
-	ts, err := traffic.NewTraceStream(trace)
+	ts, err := traffic.NewTraceStream(trace, 1)
 	if err != nil {
 		return nil, err
 	}
